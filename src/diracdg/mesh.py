@@ -242,13 +242,11 @@ class DGSpace1D:
         """Sum of cell integrals of pointwise values at volume quad points."""
         return float(np.sum(values * self.wq))
 
-    def l2_error(self, coeffs, exact_fn):
+    def error_norms(self, coeffs, exact_fn):
+        """(L2, max) norms of the error at the volume quadrature points,
+        from one evaluation of exact_fn(x)."""
         diff = self.eval(coeffs) - np.asarray(exact_fn(self.xq))
-        return np.sqrt(self.integrate(diff**2))
-
-    def linf_error(self, coeffs, exact_fn):
-        diff = self.eval(coeffs) - np.asarray(exact_fn(self.xq))
-        return float(np.max(np.abs(diff)))
+        return np.sqrt(self.integrate(diff**2)), float(np.max(np.abs(diff)))
 
 
 class DGSpace2D:
@@ -371,13 +369,11 @@ class DGSpace2D:
     def integrate(self, values):
         return float(np.sum(values * self.w2))
 
-    def l2_error(self, coeffs, exact_fn):
+    def error_norms(self, coeffs, exact_fn):
+        """(L2, max) norms of the error at the volume quadrature points,
+        from one evaluation of exact_fn(x, y)."""
         diff = self.eval(coeffs) - np.asarray(exact_fn(self.xq, self.yq))
-        return np.sqrt(self.integrate(diff**2))
-
-    def linf_error(self, coeffs, exact_fn):
-        diff = self.eval(coeffs) - np.asarray(exact_fn(self.xq, self.yq))
-        return float(np.max(np.abs(diff)))
+        return np.sqrt(self.integrate(diff**2)), float(np.max(np.abs(diff)))
 
 
 def convergence_orders(errors):

@@ -16,7 +16,7 @@ and final time of each experiment.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -105,10 +105,13 @@ _SCALAR_FIELDS = {
 }
 _WAVE_FIELDS = ("omega", "v", "x0", "y0", "S")
 
-# parse_config_text guesses value types from their spelling, so a label like
-# "42" or a q written as "2.0" arrives mistyped; normalise per field here.
+# parse_config_text guesses the other values' types from their spelling, so
+# a q written as "2.0" arrives as a float; normalise per field here.
 _STR_ATTRS = frozenset(("label", "scheme", "rk", "exact", "ic", "source"))
 _INT_ATTRS = frozenset(("q", "dim", "nx", "ny", "history_every", "wave_N"))
+# string-typed keys are kept verbatim: a label "false" or "42" is no bool
+# or number
+_STR_KEYS = frozenset(k for k, a in _SCALAR_FIELDS.items() if a in _STR_ATTRS)
 
 
 def config_to_flat(cfg: RunConfig) -> dict:
@@ -217,8 +220,8 @@ def parse_config_text(text: str) -> dict:
             continue
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected 'key = value'")
-        key, val = line.split("=", 1)
-        flat[key.strip()] = _parse_value(val)
+        key, val = (part.strip() for part in line.split("=", 1))
+        flat[key] = val if key in _STR_KEYS else _parse_value(val)
     return flat
 
 
@@ -309,7 +312,7 @@ class RunResult:
     coeffs: np.ndarray
     t: float
     dt: float
-    nsteps: int
+    nsteps: int  # steps taken, a clipped final step included
     history: np.ndarray  # rows (t, Q, E, Qrel, Erel)
     probe: np.ndarray | None
     err_l2: float | None = None
@@ -339,7 +342,11 @@ def run_simulation(cfg: RunConfig, outdir=None) -> RunResult:
             (t, q, e, relative_drift(q, q0), relative_drift(e, e0))
         )
 
+    nsteps = 0
+
     def observer(istep, t, u):
+        nonlocal nsteps
+        nsteps = istep
         if istep % cfg.history_every == 0:
             record(t, u)
         if probe_rows is not None:
@@ -352,7 +359,6 @@ def run_simulation(cfg: RunConfig, outdir=None) -> RunResult:
                 written.append(fn)
 
     u, t = evolve(step, u0, 0.0, cfg.tfinal, dt, observer=observer)
-    nsteps = int(np.ceil(cfg.tfinal / dt - 1e-9))
     if not history or history[-1][0] < t:
         record(t, u)
     hist = np.array(history)
@@ -361,8 +367,7 @@ def run_simulation(cfg: RunConfig, outdir=None) -> RunResult:
     res = RunResult(cfg, space, model, u, t, dt, nsteps, hist, probe)
     exact = exact_state_fn(cfg, t)
     if exact is not None:
-        res.err_l2 = space.l2_error(u, exact)
-        res.err_linf = space.linf_error(u, exact)
+        res.err_l2, res.err_linf = space.error_norms(u, exact)
 
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)

@@ -23,6 +23,12 @@ a damped Newton iteration (the damping releases to full steps near the
 solution), with continuation in omega from a shallow anchor wave when a
 direct solve stalls.  Profiles decay like exp(-sqrt(m^2-omega^2) r).
 
+The collocated p and w are a Chebyshev series in s = 2 r / R - 1.  Each
+profile converts its node values to series coefficients once (a DCT-I),
+and every field evaluation sums both series together with Clenshaw's
+recurrence: O(N) per point with no division.  Barycentric interpolation
+is kept only to recover the r = 0 values of legacy profile files.
+
 The bottom of the module provides the forced polynomial-in-time Gaussian
 manufactured solution used by the 2D accuracy studies, together with the
 full derivative jet of its source term that the one-step schemes consume.
@@ -59,6 +65,40 @@ def _bary_weights(n: int):
     w[0] *= 0.5
     w[-1] *= 0.5
     return w
+
+
+def _cheb_coeffs(vals):
+    """Chebyshev coefficients of the interpolants through the rows of
+    `vals`, sampled on the Gauss-Lobatto nodes cos(j pi / N): a DCT-I,
+    done as the real FFT of the even extension of each row."""
+    n = vals.shape[-1] - 1
+    ext = np.concatenate([vals, vals[..., -2:0:-1]], axis=-1)
+    c = np.fft.rfft(ext, axis=-1).real / n
+    c[..., 0] *= 0.5
+    c[..., -1] *= 0.5
+    return c
+
+
+def _clenshaw(coef, s, chunk: int = 8192):
+    """Sum the Chebyshev series of every row of `coef` at s in [-1, 1] by
+    Clenshaw's recurrence; returns shape (rows,) + s.shape."""
+    sf = np.asarray(s, dtype=float).ravel()
+    rows, n1 = coef.shape
+    out = np.empty((rows, sf.size))
+    for lo in range(0, sf.size, chunk):
+        x = sf[lo : lo + chunk]
+        x2 = 2.0 * x
+        b1 = np.zeros((rows, x.size))
+        b2 = np.zeros_like(b1)
+        t = np.empty_like(b1)
+        for k in range(n1 - 1, 0, -1):
+            # b_k = c_k + 2 s b_{k+1} - b_{k+2}, in place on three buffers
+            np.multiply(x2, b1, out=t)
+            t -= b2
+            t += coef[:, k, None]
+            b1, b2, t = t, b1, b2
+        out[:, lo : lo + chunk] = coef[:, :1] + x * b1 - b2
+    return out.reshape((rows,) + np.shape(s))
 
 
 def _bary_eval(nodes, wts, vals, x, chunk: int = 8192):
@@ -136,7 +176,13 @@ def _newton_profile(p, w, r, Dr, cc, omega, model, S, damping, tol, max_iter):
 
 @dataclass
 class WaveProfile:
-    """Collocated standing-wave profile phi = r^S p, chi = r^{S+1} w."""
+    """Collocated standing-wave profile phi = r^S p, chi = r^{S+1} w.
+
+    p and w hold the values on the nodes r (r[0] = R, r[-1] = 0).  The
+    Chebyshev coefficients of both are computed once, at construction, and
+    `phi_chi` sums them by Clenshaw's recurrence; barycentric interpolation
+    serves only `load_profile`, for legacy files without the r = 0 values.
+    """
 
     dim: int
     S: int
@@ -148,28 +194,28 @@ class WaveProfile:
     p: np.ndarray
     w: np.ndarray
     residual: float
-    _bw: np.ndarray = field(default=None, repr=False)
+    _coef: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self._bw is None:
-            self._bw = _bary_weights(self.N)
+        # the nodes are r = R (1 + xi) / 2, so the series variable is
+        # s = 2 r / R - 1 and r[0] = R sits at xi = 1
+        self._coef = _cheb_coeffs(np.stack([self.p, self.w]))
 
-    def _inside(self, r):
-        return (r <= self.R) & (r >= 0.0)
+    def phi_chi(self, rq):
+        """(phi, chi) at radii rq from one pass over both series; zero
+        outside [0, R]."""
+        rq = np.asarray(rq, dtype=float)
+        ok = (rq <= self.R) & (rq >= 0.0)
+        rs = np.where(ok, rq, 0.0)
+        p, w = _clenshaw(self._coef, 2.0 * rs / self.R - 1.0)
+        return (np.where(ok, p * rs**self.S, 0.0),
+                np.where(ok, w * rs ** (self.S + 1), 0.0))
 
     def phi(self, rq):
-        rq = np.asarray(rq, dtype=float)
-        ok = self._inside(rq)
-        rs = np.where(ok, rq, 0.0)
-        val = _bary_eval(self.r, self._bw, self.p, rs) * rs**self.S
-        return np.where(ok, val, 0.0)
+        return self.phi_chi(rq)[0]
 
     def chi(self, rq):
-        rq = np.asarray(rq, dtype=float)
-        ok = self._inside(rq)
-        rs = np.where(ok, rq, 0.0)
-        val = _bary_eval(self.r, self._bw, self.w, rs) * rs ** (self.S + 1)
-        return np.where(ok, val, 0.0)
+        return self.phi_chi(rq)[1]
 
     @property
     def decay_exponent(self) -> float:
@@ -281,9 +327,8 @@ def wave_state(profile: WaveProfile, t, x, y=None, v: float = 0.0,
     if profile.dim == 1:
         if y is not None:
             raise ConfigError("1D profile evaluated with a y argument")
-        rr = np.abs(xt)
-        ph = profile.phi(rr)
-        ch = np.sign(xt) * profile.chi(rr)
+        ph, ch = profile.phi_chi(np.abs(xt))
+        ch = np.sign(xt) * ch
         ang1 = np.exp(-1j * profile.omega * tt)
         psi1 = ph * ang1
         psi2 = 1j * ch * ang1
@@ -293,8 +338,9 @@ def wave_state(profile: WaveProfile, t, x, y=None, v: float = 0.0,
         th = np.arctan2(yp, xt)
         S = profile.S
         car = np.exp(-1j * profile.omega * tt)
-        psi1 = profile.phi(rr) * np.exp(1j * S * th) * car
-        psi2 = 1j * profile.chi(rr) * np.exp(1j * (S + 1) * th) * car
+        ph, ch = profile.phi_chi(rr)
+        psi1 = ph * np.exp(1j * S * th) * car
+        psi2 = 1j * ch * np.exp(1j * (S + 1) * th) * car
     a = np.sqrt((delta + 1.0) / 2.0)
     b = np.sqrt((delta - 1.0) / 2.0) * np.sign(v)
     return a * psi1 + b * psi2, b * psi1 + a * psi2
@@ -322,7 +368,8 @@ def superposed_real(specs, t, x, y=None):
 def profile_charge(profile: WaveProfile, n: int = 4000) -> float:
     """Total charge of the unboosted wave (trapezoid on a fine radial grid)."""
     r = np.linspace(0.0, profile.R, n)
-    dens = profile.phi(r) ** 2 + profile.chi(r) ** 2
+    ph, ch = profile.phi_chi(r)
+    dens = ph**2 + ch**2
     if profile.dim == 1:
         return 2.0 * float(np.trapezoid(dens, r))
     return 2.0 * np.pi * float(np.trapezoid(dens * r, r))

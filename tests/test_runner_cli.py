@@ -5,11 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from diracdg import runner
 from diracdg.cli import main
 from diracdg.errors import ConfigError
+from diracdg.integrators import cfl_dt
 from diracdg.runner import (
     PRESETS,
     RunConfig,
@@ -25,6 +27,7 @@ from diracdg.runner import (
     run_simulation,
     save_config,
 )
+from diracdg.waves import superposed_real
 
 FAST_1D = RunConfig(
     label="fast", dim=1, scheme="rkdg", q=2, xmin=-10.0, xmax=10.0, nx=50,
@@ -96,6 +99,8 @@ def _configs(draw):
 
 
 @given(_configs())
+@example(RunConfig(label="false"))
+@example(RunConfig(label="true"))
 @settings(max_examples=60, deadline=None)
 def test_config_text_roundtrip(cfg):
     text = "\n".join(
@@ -183,6 +188,40 @@ def test_run_result_fields(fast_run):
     assert res.history[:, 3].max() < 1e-5
     q_h = res.history[:, 1]
     assert np.all(np.diff(q_h) <= 1e-13 * q_h[0])
+
+
+def test_run_evaluates_exact_field_once_for_both_norms(monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args[1])
+        return superposed_real(*args)
+
+    monkeypatch.setattr(runner, "superposed_real", spy)
+    res = run_simulation(FAST_1D)
+    assert calls == [0.0, res.t]  # the projection, then both norms
+    sp = res.space
+    diff = sp.eval(res.coeffs) - runner.exact_state_fn(FAST_1D, res.t)(sp.xq)
+    assert res.err_l2 == pytest.approx(np.sqrt(np.sum(diff**2 * sp.wq)), rel=1e-14)
+    assert res.err_linf == pytest.approx(np.abs(diff).max(), rel=1e-14)
+
+
+def test_nsteps_counts_the_sliver_step(monkeypatch):
+    # tfinal / dt lands just past an integer: evolve takes a sliver step
+    # that ceil(tfinal / dt - 1e-9) does not count
+    dt = cfl_dt(build_space(FAST_1D), FAST_1D.effective_mu())
+    cfg = replace(FAST_1D, tfinal=(3 + 1e-9) * dt)
+    taken = []
+    make_stepper = runner.make_stepper
+
+    def counting(*args):
+        step = make_stepper(*args)
+        return lambda u, t, tau: taken.append(tau) or step(u, t, tau)
+
+    monkeypatch.setattr(runner, "make_stepper", counting)
+    res = run_simulation(cfg)
+    assert len(taken) == 4 and taken[-1] < 1e-6 * dt
+    assert res.nsteps == len(taken)
 
 
 def test_history_file_format(fast_run):

@@ -19,6 +19,8 @@ from diracdg.errors import ConfigError
 from diracdg.model import NLDModel
 from diracdg.waves import (
     MMSSource,
+    _bary_eval,
+    _bary_weights,
     decay_rate,
     load_profile,
     mms_space_jet,
@@ -134,6 +136,35 @@ def test_resolution_insensitivity():
     assert np.abs(a.phi(x) - b.phi(x)).max() < 1e-10
 
 
+def _bary_reference(prof, r):
+    """(phi, chi) by barycentric interpolation of the node values."""
+    inside = r <= prof.R
+    rs = np.where(inside, r, 0.0)
+    wts = _bary_weights(prof.N)
+    return (
+        np.where(inside, _bary_eval(prof.r, wts, prof.p, rs) * rs**prof.S, 0.0),
+        np.where(inside, _bary_eval(prof.r, wts, prof.w, rs) * rs ** (prof.S + 1), 0.0),
+    )
+
+
+@pytest.mark.parametrize("dim, S, kappa", [(1, 0, 1.0), (1, 0, 2.0),
+                                           (2, 0, 1.0), (2, 1, 1.0)])
+def test_clenshaw_matches_barycentric(dim, S, kappa):
+    prof = solve_standing_wave(0.8, dim=dim, S=S, model=NLDModel(kappa=kappa))
+    R = prof.R
+    r = np.concatenate([RNG.uniform(0.0, R, 500), prof.r,
+                        [0.0, R, R * (1 + 1e-12), R + 1.0]])
+    ref_phi, ref_chi = _bary_reference(prof, r)
+    phi, chi = prof.phi_chi(r)
+    tol = 1e-13 * np.abs(ref_phi).max()
+    np.testing.assert_allclose(phi, ref_phi, rtol=0, atol=tol)
+    np.testing.assert_allclose(chi, ref_chi, rtol=0, atol=tol)
+    outside = r > R
+    assert np.all(phi[outside] == 0.0) and np.all(chi[outside] == 0.0)
+    np.testing.assert_array_equal(prof.phi(r), phi)
+    np.testing.assert_array_equal(prof.chi(r), chi)
+
+
 def test_profile_vanishes_outside_support(prof_2d):
     r = np.array([prof_2d.R + 1.0, prof_2d.R + 10.0])
     assert np.all(prof_2d.phi(r) == 0.0)
@@ -216,6 +247,26 @@ def test_profile_save_load_roundtrip(tmp_path, prof_2d_quintic):
         back.phi(r), prof_2d_quintic.phi(r), atol=1e-12
     )
     assert wave_ode_residual(back) < 1e-10
+
+
+@pytest.mark.parametrize("S", [0, 1])
+def test_profile_roundtrip_evaluates_identically(tmp_path, S):
+    prof = solve_standing_wave(0.8, dim=2, S=S)
+    path = tmp_path / "wave.txt"
+    save_profile(path, prof)
+    r = np.concatenate([[0.0], RNG.uniform(0.0, prof.R, 300), [prof.R]])
+    tol = 1e-14 * np.abs(prof.phi(r)).max()
+    for a, b in zip(load_profile(path).phi_chi(r), prof.phi_chi(r)):
+        np.testing.assert_allclose(a, b, rtol=0, atol=tol)
+    # a legacy file lacks the exact r = 0 values; they are recovered by
+    # barycentric interpolation from the other nodes, and the stored series
+    # still sums to that interpolant
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(ln for ln in lines
+                            if not ln.startswith(("# p0", "# w0"))))
+    legacy = load_profile(path)
+    for a, b in zip(legacy.phi_chi(r), _bary_reference(legacy, r)):
+        np.testing.assert_allclose(a, b, rtol=0, atol=10 * tol)
 
 
 # --------------------------------------------------------------------------
