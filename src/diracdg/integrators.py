@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BlowupError
+from .errors import BlowupError, ConfigError
 
 
 def rk4_step(u, t, tau, L):
@@ -58,13 +58,20 @@ def evolve(step, u0, t0: float, tfinal: float, dt: float, observer=None,
     The final step is clipped to land exactly on tfinal.  After every step
     the coefficients are checked for blow-up.  `observer(istep, t, u)` is
     called after each accepted step (and once with istep=0 at t0).
+    A step or final time that cannot end the march raises ConfigError.
     """
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ConfigError(f"time step must be positive and finite, got {dt!r}")
+    if not np.isfinite(tfinal):
+        raise ConfigError(f"final time must be finite, got {tfinal!r}")
     u, t = u0, t0
     if observer is not None:
         observer(0, t0, u0)
     istep = 0
     while t < tfinal - 1e-9 * dt:
         tau = min(dt, tfinal - t)
+        if t + tau == t:
+            raise ConfigError(f"time step {tau!r} does not advance t = {t!r}")
         u = step(u, t, tau)
         t = t + tau
         istep += 1

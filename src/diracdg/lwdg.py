@@ -28,7 +28,7 @@ from .semidiscrete import edge_term_1d, edge_term_2d, interface_states, lf_flux
 
 
 def _taylor_w(jet, model, tau, source):
-    tj = time_jet(jet, model, depth=3, source=source)
+    tj = time_jet(jet, model, depth=3, source=source, mttt=False)
     return (
         jet["u"]
         + (tau / 2.0) * tj["t"]

@@ -176,6 +176,21 @@ def _validate(cfg: RunConfig):
         raise ConfigError("the manufactured problem is two-dimensional")
     if cfg.scheme == "tsdg" and abs(1.0 - cfg.theta) < 1e-12:
         raise ConfigError("two-stage scheme undefined at theta = 1")
+    if not cfg.xmin < cfg.xmax:
+        raise ConfigError(
+            f"grid.xmin = {cfg.xmin} must lie below grid.xmax = {cfg.xmax}"
+        )
+    if cfg.dim == 2:
+        if cfg.ny < 1:
+            raise ConfigError(f"a 2D grid needs grid.ny >= 1, got {cfg.ny}")
+        if not cfg.ymin < cfg.ymax:
+            raise ConfigError(
+                f"grid.ymin = {cfg.ymin} must lie below grid.ymax = {cfg.ymax}"
+            )
+    if cfg.history_every < 1:
+        raise ConfigError(
+            f"run.history_every must be >= 1, got {cfg.history_every}"
+        )
 
 
 def _format_value(v) -> str:

@@ -489,10 +489,11 @@ def _tfac(k: int, t: float) -> float:
 class _PhiJet:
     """All partial derivatives of phi = t^4 exp(-5(x^2+y^2)) on demand."""
 
-    def __init__(self, x, y, t):
+    def __init__(self, x, y, t, order: int = 3):
+        """Spatial derivatives up to `order` in each variable are available."""
         self.E = np.exp(-5.0 * (x * x + y * y))
-        self.hx = [_hfac(k, x) for k in range(4)]
-        self.hy = [_hfac(k, y) for k in range(4)]
+        self.hx = [_hfac(k, x) for k in range(order + 1)]
+        self.hy = [_hfac(k, y) for k in range(order + 1)]
         self.t = t
 
     def __call__(self, a: int, b: int, c: int):
@@ -521,6 +522,16 @@ def mms_space_jet(x, y, t):
     return out
 
 
+def _mms_assemble(ft, fx, fy, G):
+    """Real-form forcing from one derivative of (phi, g phi); see MMSSource."""
+    return np.stack([
+        MMS_C1 * ft + MMS_C2 * fx,
+        MMS_C2 * ft + MMS_C1 * fx,
+        -MMS_C2 * fy + MMS_C1 * G,
+        MMS_C1 * fy - MMS_C2 * G,
+    ])
+
+
 class MMSSource:
     """Derivative jet of the forcing that makes the Gaussian field exact.
 
@@ -538,27 +549,24 @@ class MMSSource:
         self.model = model
 
     def jet(self, x, y, t, depth: int = 3):
-        d = _PhiJet(x, y, t)
+        """Source derivatives at the points (x, y): depth 0 gives only
+        'val', depth 1 adds 't', depth 3 every key `cascade.time_jet` and
+        `cascade.taylor_state` read."""
+        d = _PhiJet(x, y, t, order=3 if depth > 1 else 1)
         phi = d(0, 0, 0)
         pt, px, py = d(0, 0, 1), d(1, 0, 0), d(0, 1, 0)
         s = _MMS_SIG * phi * phi
-        g0, g1, g2, g3 = self.model.g_jet(s, 3)
-        st = 2.0 * _MMS_SIG * phi * pt
-        gt = g1 * st
-
-        def assemble(ft, fx, fy, G):
-            return np.stack([
-                MMS_C1 * ft + MMS_C2 * fx,
-                MMS_C2 * ft + MMS_C1 * fx,
-                -MMS_C2 * fy + MMS_C1 * G,
-                MMS_C1 * fy - MMS_C2 * G,
-            ])
+        g0, g1, g2, g3 = self.model.g_jet(s, 3 if depth > 1 else depth)
 
         G0 = g0 * phi
-        out = {"val": assemble(pt, px, py, G0)}
+        out = {"val": _mms_assemble(pt, px, py, G0)}
+        if depth == 0:
+            return out
+        st = 2.0 * _MMS_SIG * phi * pt
+        gt = g1 * st
         ptt, ptx, pty = d(0, 0, 2), d(1, 0, 1), d(0, 1, 1)
         Gt = gt * phi + g0 * pt
-        out["t"] = assemble(ptt, ptx, pty, Gt)
+        out["t"] = _mms_assemble(ptt, ptx, pty, Gt)
         if depth == 1:
             return out
 
@@ -568,8 +576,8 @@ class MMSSource:
         gx, gy = g1 * sx, g1 * sy
         Gx = gx * phi + g0 * px
         Gy = gy * phi + g0 * py
-        out["x"] = assemble(ptx, pxx, pxy, Gx)
-        out["y"] = assemble(pty, pxy, pyy, Gy)
+        out["x"] = _mms_assemble(ptx, pxx, pxy, Gx)
+        out["y"] = _mms_assemble(pty, pxy, pyy, Gy)
 
         sab = lambda pa, pb, pab: 2.0 * _MMS_SIG * (pa * pb + phi * pab)
         gab = lambda sa, sb, s_ab: g2 * sa * sb + g1 * s_ab
@@ -587,21 +595,21 @@ class MMSSource:
         Gtx = gtx * phi + gt * px + gx * pt + g0 * ptx
         Gty = gty * phi + gt * py + gy * pt + g0 * pty
         Gtt = gtt * phi + 2.0 * gt * pt + g0 * ptt
-        out["xx"] = assemble(ptxx, pxxx, pxxy, Gxx)
-        out["xy"] = assemble(ptxy, pxxy, pxyy, Gxy)
-        out["yy"] = assemble(ptyy, pxyy, pyyy, Gyy)
-        out["tx"] = assemble(pttx, ptxx, ptxy, Gtx)
-        out["ty"] = assemble(ptty, ptxy, ptyy, Gty)
-        out["tt"] = assemble(pttt, pttx, ptty, Gtt)
+        out["xx"] = _mms_assemble(ptxx, pxxx, pxxy, Gxx)
+        out["xy"] = _mms_assemble(ptxy, pxxy, pxyy, Gxy)
+        out["yy"] = _mms_assemble(ptyy, pxyy, pyyy, Gyy)
+        out["tx"] = _mms_assemble(pttx, ptxx, ptxy, Gtx)
+        out["ty"] = _mms_assemble(ptty, ptxy, ptyy, Gty)
+        out["tt"] = _mms_assemble(pttt, pttx, ptty, Gtt)
 
         sttt = 2.0 * _MMS_SIG * (3.0 * pt * ptt + phi * pttt)
         gttt = g3 * st**3 + 3.0 * g2 * st * stt + g1 * sttt
         Gttt = gttt * phi + 3.0 * gtt * pt + 3.0 * gt * ptt + g0 * pttt
-        out["ttt"] = assemble(d(0, 0, 4), d(1, 0, 3), d(0, 1, 3), Gttt)
+        out["ttt"] = _mms_assemble(d(0, 0, 4), d(1, 0, 3), d(0, 1, 3), Gttt)
         return out
 
     def values(self, space, t):
-        return self.jet(space.xq, space.yq, t, depth=1)["val"]
+        return self.jet(space.xq, space.yq, t, depth=0)["val"]
 
     def volume_jet(self, space, t, depth: int = 3):
         return self.jet(space.xq, space.yq, t, depth=depth)

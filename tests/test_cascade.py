@@ -11,7 +11,10 @@ Two oracles cover the cascade end to end:
 import numpy as np
 import pytest
 
+from diracdg import cascade
 from diracdg.cascade import taylor_state, time_jet
+from diracdg.lwdg import _edge_source_split
+from diracdg.mesh import DGSpace1D, DGSpace2D, Grid1D, Grid2D
 from diracdg.model import NLDModel
 from diracdg.waves import MMS_C1, MMS_C2, MMSSource, mms_space_jet, mms_state
 
@@ -199,3 +202,94 @@ def test_taylor_state_combination():
         + tau**3 / 24 * (tj["Mttt"] + src["ttt"])
     )
     np.testing.assert_allclose(G, G_ref, atol=1e-15)
+
+
+# --------------------------------------------------------------------------
+# blocking, scalar-zero skipping and the early return change no bit
+
+def _point_sets(dim, depth, forced):
+    """(jet, source) pairs on a small mesh: the volume points and both
+    sides of one (1D) or each (2D) edge family, from random coefficients."""
+    rng = np.random.default_rng(11)
+    if dim == 1:
+        space = DGSpace1D(Grid1D(-1.0, 1.0, 13), 3)
+        coeffs = 0.6 * rng.standard_normal(space.zeros().shape)
+        sets = [space.volume_jet(coeffs, depth), *space.trace_jets(coeffs, depth)]
+        if not forced:
+            return [(j, None) for j in sets]
+        keys = ("val", "t") if depth == 1 else ("val", "t", "x", "xx", "tx", "tt")
+        return [
+            (j, {k: 0.3 * rng.standard_normal(j["u"].shape) for k in keys})
+            for j in sets
+        ]
+    space = DGSpace2D(Grid2D(-1.0, 1.0, 13, -0.5, 0.5, 7), 2)
+    coeffs = 0.6 * rng.standard_normal(space.zeros().shape)
+    src = MMSSource(NLDModel()) if forced else None
+    pairs = [(space.volume_jet(coeffs, depth),
+              src.volume_jet(space, 0.7, depth) if forced else None)]
+    for name, axis in (("x", 1), ("y", 2)):
+        lo, hi = space.edge_jets(coeffs, name, depth)
+        slo, shi = _edge_source_split(
+            src.edge_jet(space, 0.7, name, depth) if forced else None, axis
+        )
+        pairs += [(lo, slo), (hi, shi)]
+    return pairs
+
+
+def _assert_jets_equal(got, want):
+    assert sorted(got) == sorted(want)
+    for key in want:
+        np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("depth", [1, 3])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_blocked_time_jet_is_bit_identical(monkeypatch, dim, depth, forced, kappa):
+    model = NLDModel(kappa=kappa)
+    for jet, src in _point_sets(dim, depth, forced):
+        whole = cascade._time_jet_block(jet, model, depth, src, True)
+        # about 3 cells per block: the 13 cells split 3+3+3+4
+        monkeypatch.setattr(cascade, "_BLOCK_POINTS", 3 * jet["u"][0, 0].size)
+        _assert_jets_equal(time_jet(jet, model, depth=depth, source=src), whole)
+        monkeypatch.undo()
+        _assert_jets_equal(time_jet(jet, model, depth=depth, source=src), whole)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_time_jet_without_mttt(monkeypatch, dim, forced, kappa):
+    model = NLDModel(kappa=kappa)
+    monkeypatch.setattr(cascade, "_BLOCK_POINTS", 40)
+    for jet, src in _point_sets(dim, 3, forced):
+        full = time_jet(jet, model, depth=3, source=src)
+        short = time_jet(jet, model, depth=3, source=src, mttt=False)
+        assert sorted(short) == sorted(set(full) - {"Mttt"})
+        assert {"t", "tt", "ttt"} <= set(short)  # the edge Taylor state's keys
+        _assert_jets_equal(short, {k: full[k] for k in short})
+
+
+class _ArrayZeroModel(NLDModel):
+    """g_jet with every scalar 0.0 replaced by an array of zeros, so that
+    the cascade takes its general formulas."""
+
+    def g_jet(self, rho_val, depth=1):
+        return tuple(
+            np.zeros_like(rho_val) if np.ndim(g) == 0 and g == 0.0 else g
+            for g in super().g_jet(rho_val, depth)
+        )
+
+
+@pytest.mark.parametrize("kappa", [1.0, 2.0])
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_scalar_zero_skip_equals_general_formula(dim, forced, kappa):
+    skip, general = NLDModel(kappa=kappa), _ArrayZeroModel(kappa=kappa)
+    assert skip.g_jet(np.ones(3), 3)[3] == 0.0  # g''' comes back a scalar zero
+    for jet, src in _point_sets(dim, 3, forced):
+        _assert_jets_equal(
+            time_jet(jet, skip, depth=3, source=src),
+            time_jet(jet, general, depth=3, source=src),
+        )

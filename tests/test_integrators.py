@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from diracdg.errors import BlowupError
+from diracdg.errors import BlowupError, ConfigError
 from diracdg.integrators import (
     cfl_dt,
     default_mu,
@@ -132,3 +132,20 @@ def test_evolve_exact_landing_no_extra_step():
            0.0, 1.0, 0.25)
     assert len(count) == 4
     assert min(count) > 0.2
+
+
+@pytest.mark.parametrize(
+    "dt,tfinal",
+    [(0.0, 1.0), (-0.1, 1.0), (float("nan"), 1.0), (float("inf"), 1.0),
+     (0.1, float("inf")), (1e-20, 1.0)],
+)
+def test_evolve_refuses_a_march_that_cannot_end(dt, tfinal):
+    calls = []
+
+    def step(u, t, tau):
+        calls.append(tau)
+        return u
+
+    with pytest.raises(ConfigError):
+        evolve(step, np.zeros(1), 1.0, 1.0 + tfinal, dt)
+    assert not calls

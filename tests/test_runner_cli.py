@@ -390,5 +390,29 @@ def test_cli_blowup_exit_code(capsys, tmp_path):
     assert "numerical failure" in capsys.readouterr().err
 
 
+_FAST_MMS = RunConfig(
+    label="mms", dim=2, scheme="rkdg", q=1, xmin=-2.0, xmax=2.0, nx=6,
+    ymin=-2.0, ymax=2.0, ny=6, tfinal=0.05, ic="mms", source="mms",
+)
+
+
+@pytest.mark.parametrize(
+    "cfg,words",
+    [
+        (replace(FAST_1D, xmin=10.0, xmax=-10.0), "grid.xmin"),
+        (replace(FAST_1D, xmin=3.0, xmax=3.0), "grid.xmin"),
+        (replace(_FAST_MMS, ny=0), "grid.ny"),
+        (replace(_FAST_MMS, ymin=2.0, ymax=-2.0), "grid.ymin"),
+        (replace(FAST_1D, history_every=0), "history_every"),
+    ],
+    ids=["x-reversed", "x-empty", "2d-no-ny", "y-reversed", "history-every-0"],
+)
+def test_cli_rejects_degenerate_config(capsys, tmp_path, cfg, words):
+    cfgfile = tmp_path / "bad.cfg"
+    save_config(cfgfile, cfg)
+    assert main(["run", "--config", str(cfgfile)]) == 2
+    assert words in capsys.readouterr().err
+
+
 def test_cli_missing_config_file(capsys):
     assert main(["run", "--config", "/nonexistent/path.cfg"]) == 4

@@ -295,6 +295,19 @@ def test_mms_state_starts_from_rest():
 
 
 @pytest.mark.parametrize("kappa", [1.0, 2.0])
+def test_mms_source_values_equal_the_jet_value(kappa):
+    # the value-only path must reproduce the jet's 'val' bit for bit
+    from diracdg.mesh import DGSpace2D, Grid2D
+
+    space = DGSpace2D(Grid2D(-2.0, 2.0, 9, -1.5, 2.5, 6), 2)
+    src = MMSSource(NLDModel(kappa=kappa))
+    for t in (0.0, 0.35, 1.7):
+        want = src.jet(space.xq, space.yq, t, depth=1)["val"]
+        np.testing.assert_array_equal(src.values(space, t), want)
+        assert sorted(src.jet(space.xq, space.yq, t, depth=0)) == ["val"]
+
+
+@pytest.mark.parametrize("kappa", [1.0, 2.0])
 def test_mms_source_closes_the_system(kappa):
     """R must equal u_t + alpha u_x + beta u_y - M(u) on the exact field;
     all derivatives here come from sixth-order differences, independent of
