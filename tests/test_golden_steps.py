@@ -1,0 +1,112 @@
+"""Golden steps: one step of every scheme against stored results.
+
+The fixture `data/golden_steps.npz` holds, for seeded random coefficients
+on a small 1D and 2D mesh, one `rk4_step` of the semidiscrete scheme, the
+bare `rkdg_residual`, one `lwdg_step` and one `tsdg_step`, for P1-P3,
+kappa = 1, 2 and, in 2D, with and without the manufactured source.  It
+pins the numbers of the schemes through refactors: a result must agree
+with the stored one to 1e-13 of its largest entry, which leaves room for
+a BLAS that sums in another order.
+
+Regenerate (only when a change of the numbers is intended) with
+
+    PYTHONPATH=src python tests/test_golden_steps.py
+"""
+
+import os
+
+import numpy as np
+import pytest
+
+from diracdg.integrators import rk4_step
+from diracdg.lwdg import lwdg_step
+from diracdg.mesh import DGSpace1D, DGSpace2D, Grid1D, Grid2D
+from diracdg.model import NLDModel
+from diracdg.semidiscrete import rkdg_residual
+from diracdg.tsdg import tsdg_step
+from diracdg.waves import MMSSource
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "data", "golden_steps.npz")
+RTOL = 1e-13
+T0, TAU = 0.25, 0.01
+
+SPACES = {
+    "1d": lambda q: DGSpace1D(Grid1D(-2.0, 1.5, 7), q),
+    "2d": lambda q: DGSpace2D(Grid2D(-1.5, 1.5, 3, -1.0, 1.2, 2), q),
+}
+SCHEMES = {
+    "rk4": lambda sp, m, u, src: rk4_step(
+        u, T0, TAU, lambda v, t: rkdg_residual(sp, m, v, t, src)
+    ),
+    "residual": lambda sp, m, u, src: rkdg_residual(sp, m, u, T0, src),
+    "lwdg": lambda sp, m, u, src: lwdg_step(sp, m, u, T0, TAU, src),
+    "tsdg": lambda sp, m, u, src: tsdg_step(sp, m, u, T0, TAU, source=src),
+}
+
+
+def _cases():
+    for dim in SPACES:
+        for q in (1, 2, 3):
+            for kappa in (1, 2):
+                for forced in (False, True) if dim == "2d" else (False,):
+                    for scheme in SCHEMES:
+                        src = "forced" if forced else "free"
+                        yield f"{scheme}-{dim}-q{q}-k{kappa}-{src}"
+
+
+def _input_key(case):
+    _, dim, q, _, _ = case.split("-")
+    return f"input-{dim}-{q}"
+
+
+def _random_state(space, rng):
+    """Random coefficients; each mode carries about 0.1 of the cell's L2 norm."""
+    area = space.grid.dx * getattr(space.grid, "dy", 1.0)
+    shape = space.zeros().shape
+    return 0.1 * rng.standard_normal(shape) / np.sqrt(space.mass / area)
+
+
+def run_case(case, coeffs):
+    scheme, dim, q, kappa, src = case.split("-")
+    space = SPACES[dim](int(q[1:]))
+    model = NLDModel(kappa=float(kappa[1:]))
+    source = MMSSource(model) if src == "forced" else None
+    return SCHEMES[scheme](space, model, coeffs, source)
+
+
+def write_fixture(path=FIXTURE, seed=20261018):
+    rng = np.random.default_rng(seed)
+    data = {}
+    for dim, make in SPACES.items():
+        for q in (1, 2, 3):
+            data[f"input-{dim}-q{q}"] = _random_state(make(q), rng)
+    for case in _cases():
+        data[case] = run_case(case, data[_input_key(case)])
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    np.savez_compressed(path, **data)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with np.load(FIXTURE) as f:
+        return dict(f)
+
+
+def test_fixture_covers_every_case(golden):
+    cases = list(_cases())
+    assert len(cases) == 72
+    assert set(golden) == set(cases) | {_input_key(c) for c in cases}
+
+
+@pytest.mark.parametrize("case", list(_cases()))
+def test_golden_step(golden, case):
+    want = golden[case]
+    got = run_case(case, golden[_input_key(case)])
+    assert got.shape == want.shape
+    err = np.max(np.abs(got - want))
+    assert err <= RTOL * np.max(np.abs(want)), f"{case}: max diff {err:.3e}"
+
+
+if __name__ == "__main__":
+    write_fixture()
+    print(f"wrote {FIXTURE}")
