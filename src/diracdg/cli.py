@@ -51,10 +51,6 @@ def _add_common(p):
     p.add_argument("--full-scale", action="store_true",
                    help="use the full-size variant of the preset")
     p.add_argument("--out", help="output directory (or file, for `wave`)")
-    p.add_argument("--deterministic", action="store_true",
-                   help="seed the global random generator")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers for multi-level studies")
     p.add_argument("--mu", type=float, help="CFL number override")
     p.add_argument("--tfinal", type=float, help="final time override")
     p.add_argument("--cells", help="cells per direction (or comma list)")
@@ -77,6 +73,8 @@ def build_parser():
 
     p_conv = sub.add_parser("converge", help="mesh refinement study")
     _add_common(p_conv)
+    p_conv.add_argument("--jobs", type=int, default=1,
+                        help="parallel workers, one level each")
     p_conv.set_defaults(func=cmd_converge)
 
     p_cost = sub.add_parser("cost", help="per-step operation-count model")
@@ -139,8 +137,6 @@ def _resolve_config(args) -> RunConfig:
 
 
 def cmd_run(args) -> int:
-    if args.deterministic:
-        np.random.seed(0)
     cfg = _resolve_config(args)
     res = run_simulation(cfg, outdir=args.out)
     last = res.history[-1]
@@ -158,8 +154,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    if args.deterministic:
-        np.random.seed(0)
     cfg = _resolve_config(args)
     if args.cells:
         cells = [int(tok) for tok in str(args.cells).split(",")]

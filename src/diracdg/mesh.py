@@ -11,6 +11,12 @@ ordered (0,0), (1,0), (0,1), (2,0), (1,1), (0,2), (3,0), (2,1), (1,2), (0,3).
 Every integral in the suite (projection, residuals, error norms) uses the
 same (q+1)-point Gauss-Legendre rule per axis; the nodes and weights are
 hardcoded below to keep results bit-reproducible across platforms.
+
+`DGSpace1D` and `DGSpace2D` share one interface: `eval`/`volume_jet` at
+the volume quadrature points, `edge_values`/`edge_jets(coeffs, axis)` on
+each cell's (low, high) edges normal to `axis` ("x", and "y" in 2D; a 1D
+end value is (4, nx), a 2D edge (4, nx, ny, q+1)), the weight-scaled tables
+`volw[(i, j)]` of the (i, j)-th derivative ((0, 0), (1, 0) in 1D), `mass`.
 """
 
 from __future__ import annotations
@@ -198,8 +204,8 @@ class DGSpace1D:
         self.tr = np.stack([basis_table(ends, h, q, d) for d in range(4)])
         self.mass = mass_diag(h, q)
         self.xq = grid.centers()[:, None] + self.Xq[None, :]  # (nx, nq)
-        # weight-scaled tables, so projections are a single matmul
-        self.phiw = self.wq[None, :, None] * self.phi
+        # weight-scaled value and x-derivative tables, keyed like 2D volw
+        self.volw = {(d, 0): self.wq[:, None] * self.phi[d] for d in (0, 1)}
 
     def zeros(self):
         return np.zeros((4, self.grid.nx, self.nloc))
@@ -207,26 +213,27 @@ class DGSpace1D:
     def project(self, fn):
         """L2 projection of fn(x) -> (4, ...) onto the DG space."""
         vals = np.asarray(fn(self.xq))
-        return table_dot(vals, self.phiw[0]) / self.mass
+        return table_dot(vals, self.volw[(0, 0)]) / self.mass
 
     def eval(self, coeffs, order: int = 0):
         """Point values of the order-th x-derivative at volume quad points."""
         return table_dot(coeffs, self.phi[order].T)
 
-    def traces(self, coeffs, order: int = 0):
-        """(left, right) end values of the order-th derivative, each (4, nx)."""
-        t = table_dot(coeffs, self.tr[order].T)
-        return t[..., 0], t[..., 1]
-
     def volume_jet(self, coeffs, depth: int = 3):
         return {k: self.eval(coeffs, _DERIV_1D[k]) for k in JET_KEYS_1D[depth]}
 
-    def trace_jets(self, coeffs, depth: int = 3):
-        left, right = {}, {}
+    def edge_jets(self, coeffs, axis: str, depth: int = 3):
+        """Jets at each cell's (low, high) end (`axis` is "x"); arrays (4, nx)."""
+        lo, hi = {}, {}
         for key in JET_KEYS_1D[depth]:
-            lo, hi = self.traces(coeffs, _DERIV_1D[key])
-            left[key], right[key] = lo, hi
-        return left, right
+            t = table_dot(coeffs, self.tr[_DERIV_1D[key]].T)
+            lo[key], hi[key] = t[..., 0], t[..., 1]
+        return lo, hi
+
+    def edge_values(self, coeffs, axis: str):
+        """Plain (low, high) end values of u, each (4, nx)."""
+        t = table_dot(coeffs, self.tr[0].T)
+        return t[..., 0], t[..., 1]
 
     def point_values(self, coeffs, x):
         """Evaluate the broken polynomial at arbitrary points (one-sided on
@@ -283,34 +290,29 @@ class DGSpace2D:
         ex = [basis_table(np.array([-0.5 * hx, 0.5 * hx]), hx, 3, d) for d in range(4)]
         ey = [basis_table(np.array([-0.5 * hy, 0.5 * hy]), hy, 3, d) for d in range(4)]
 
-        self.vol = {}     # (i, j) -> (nq, nloc)
-        self.edge_x = {}  # (i, j) -> (2, n1, nloc); side 0: x = -hx/2, 1: +hx/2
-        self.edge_y = {}  # (i, j) -> (2, n1, nloc); quad points run along x
+        # vol[(i, j)]: (nq, nloc); edge[axis][(i, j)]: (2, n1, nloc), side 0
+        # on the low edge, with the quadrature points along the edge
+        self.vol, self.edge = {}, {"x": {}, "y": {}}
         for i in range(4):
             for j in range(4 - i):
                 vt = px[i][:, None, a_idx] * py[j][None, :, b_idx]
                 self.vol[(i, j)] = vt.reshape(self.nq, self.nloc)
-                self.edge_x[(i, j)] = ex[i][:, None, a_idx] * py[j][None, :, b_idx]
-                self.edge_y[(i, j)] = np.stack(
-                    [px[i][:, a_idx] * ey[j][s][b_idx][None, :] for s in (0, 1)]
-                )
-
-        ax = mass_diag(hx, 3)
-        ay = mass_diag(hy, 3)
-        self.mass = ax[a_idx] * ay[b_idx]
+                self.edge["x"][(i, j)] = ex[i][:, None, a_idx] * py[j][None, :, b_idx]
+                self.edge["y"][(i, j)] = px[i][None, :, a_idx] * ey[j][:, None, b_idx]
+        self.mass = mass_diag(hx, 3)[a_idx] * mass_diag(hy, 3)[b_idx]
 
         # weight-scaled tables for single-matmul projections of volume and
-        # edge integrands (edge quadrature runs along y on x-edges and
-        # along x on y-edges)
+        # edge integrands
         self.volw = {k: self.w2[:, None] * t for k, t in self.vol.items()}
-        self.edgew_x = self.wyq[None, :, None] * self.edge_x[(0, 0)]
-        self.edgew_y = self.wxq[None, :, None] * self.edge_y[(0, 0)]
+        self.edgew = {
+            "x": self.wyq[None, :, None] * self.edge["x"][(0, 0)],
+            "y": self.wxq[None, :, None] * self.edge["y"][(0, 0)],
+        }
 
         cx, cy = grid.xcenters(), grid.ycenters()
         Xo, Yo = np.meshgrid(self.Xq, self.Yq, indexing="ij")
-        self.Xoff, self.Yoff = Xo.ravel(), Yo.ravel()
-        self.xq = cx[:, None, None] + self.Xoff[None, None, :]  # (nx, 1, nq)
-        self.yq = cy[None, :, None] + self.Yoff[None, None, :]  # (1, ny, nq)
+        self.xq = cx[:, None, None] + Xo.ravel()[None, None, :]  # (nx, 1, nq)
+        self.yq = cy[None, :, None] + Yo.ravel()[None, None, :]  # (1, ny, nq)
         # coordinates of edge quadrature points, for source evaluation
         xi_f, yi_f = grid.xinterfaces(), grid.yinterfaces()
         self.x_edge_x = xi_f[:, None, None]                      # (nx+1, 1, 1)
@@ -336,12 +338,8 @@ class DGSpace2D:
         return {k: self.eval(coeffs, *_DERIV_2D[k]) for k in JET_KEYS_2D[depth]}
 
     def edge_jets(self, coeffs, axis: str, depth: int = 3):
-        """Trace jets on the cell edges normal to `axis` ('x' or 'y').
-
-        Returns (low_side, high_side) dicts of arrays shaped (4, nx, ny, n1):
-        the jet on each cell's low/high edge quadrature points.
-        """
-        tabs = self.edge_x if axis == "x" else self.edge_y
+        """Jets on each cell's (low, high) edges normal to `axis`."""
+        tabs = self.edge[axis]
         lo, hi = {}, {}
         for key in JET_KEYS_2D[depth]:
             t = tabs[_DERIV_2D[key]]
@@ -351,7 +349,7 @@ class DGSpace2D:
 
     def edge_values(self, coeffs, axis: str):
         """Plain traces of u on the edges normal to `axis` (both sides)."""
-        t = (self.edge_x if axis == "x" else self.edge_y)[(0, 0)]
+        t = self.edge[axis][(0, 0)]
         return table_dot(coeffs, t[0].T), table_dot(coeffs, t[1].T)
 
     def point_values(self, coeffs, x, y):

@@ -15,6 +15,7 @@ and final time of each experiment.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, replace
 
@@ -106,7 +107,8 @@ _SCALAR_FIELDS = {
 _WAVE_FIELDS = ("omega", "v", "x0", "y0", "S")
 
 # parse_config_text guesses the other values' types from their spelling, so
-# a q written as "2.0" arrives as a float; normalise per field here.
+# a q written as "2.0" arrives as a float; normalise per field here, but
+# never by truncation: q = 2.5 is an error, not P2.
 _STR_ATTRS = frozenset(("label", "scheme", "rk", "exact", "ic", "source"))
 _INT_ATTRS = frozenset(("q", "dim", "nx", "ny", "history_every", "wave_N"))
 # string-typed keys are kept verbatim: a label "false" or "42" is no bool
@@ -128,6 +130,15 @@ def config_to_flat(cfg: RunConfig) -> dict:
     return flat
 
 
+def _integral(key: str, val) -> int:
+    """The value of an integer field: 2 or 2.0, but not 2.5, true or "two"."""
+    if isinstance(val, float) and val.is_integer():
+        return int(val)
+    if isinstance(val, numbers.Integral) and not isinstance(val, bool):
+        return int(val)
+    raise ConfigError(f"{key} must be an integer, got {val!r}")
+
+
 def config_from_flat(flat: dict) -> RunConfig:
     kwargs = {}
     for key, attr in _SCALAR_FIELDS.items():
@@ -136,18 +147,19 @@ def config_from_flat(flat: dict) -> RunConfig:
             if attr in _STR_ATTRS:
                 val = str(val)
             elif attr in _INT_ATTRS:
-                val = int(val)
+                val = _integral(key, val)
             kwargs[attr] = val
+    known = set(_SCALAR_FIELDS) | {"probe.x", "run.snapshots"}
     waves = []
-    i = 1
-    while f"ic.wave{i}.omega" in flat:
-        fields = {f: flat.get(f"ic.wave{i}.{f}", getattr(WaveSpec, f))
-                  for f in _WAVE_FIELDS}
-        fields["S"] = int(fields["S"])
+    while f"ic.wave{len(waves) + 1}.omega" in flat:
+        keys = {f: f"ic.wave{len(waves) + 1}.{f}" for f in _WAVE_FIELDS}
+        fields = {f: flat.get(k, getattr(WaveSpec, f)) for f, k in keys.items()}
+        fields["S"] = _integral(keys["S"], fields["S"])
         waves.append(WaveSpec(**fields))
-        i += 1
+        known.update(keys.values())
     kwargs["waves"] = tuple(waves)
     if "probe.x" in flat:
+        known.add("probe.y")
         probe = (flat["probe.x"],)
         if "probe.y" in flat:
             probe = probe + (flat["probe.y"],)
@@ -156,6 +168,9 @@ def config_from_flat(flat: dict) -> RunConfig:
         kwargs["snapshots"] = tuple(
             float(tok) for tok in str(flat["run.snapshots"]).split(",")
         )
+    unknown = sorted(set(flat) - known)
+    if unknown:
+        raise ConfigError(f"unknown or unused config keys: {', '.join(unknown)}")
     cfg = RunConfig(**kwargs)
     _validate(cfg)
     return cfg
@@ -265,6 +280,10 @@ def _get_profile(wv: WaveSpec, cfg: RunConfig):
 
 
 def build_space(cfg: RunConfig):
+    # not in _validate: converge configs hold nx = 0 until --cells fills it
+    for key, n in (("grid.nx", cfg.nx), ("grid.ny", cfg.ny))[: cfg.dim]:
+        if n < 1:
+            raise ConfigError(f"{key} must be >= 1, got {n}")
     if cfg.dim == 1:
         return DGSpace1D(Grid1D(cfg.xmin, cfg.xmax, cfg.nx), cfg.q)
     return DGSpace2D(
@@ -279,26 +298,25 @@ def _wave_specs(cfg: RunConfig):
     ]
 
 
-def exact_state_fn(cfg: RunConfig, t: float):
-    """Callable exact solution at time t, or None."""
-    kind = cfg.exact_kind()
-    if kind == "none":
-        return None
+def _field(cfg: RunConfig, kind: str, t: float):
+    """The manufactured field ("mms") or the superposed waves ("waves") at
+    time t, as a function of the space's coordinates."""
     if kind == "mms":
         return lambda x, y: mms_state(x, y, t)
     specs = _wave_specs(cfg)
-    if cfg.dim == 1:
-        return lambda x: superposed_real(specs, t, x)
-    return lambda x, y: superposed_real(specs, t, x, y)
+    return lambda *xy: superposed_real(specs, t, *xy)
+
+
+def exact_state_fn(cfg: RunConfig, t: float):
+    """Callable exact solution at time t, or None."""
+    kind = cfg.exact_kind()
+    return None if kind == "none" else _field(cfg, kind, t)
 
 
 def initial_state(cfg: RunConfig, space):
-    if cfg.ic == "mms":
-        return space.project(lambda x, y: mms_state(x, y, 0.0))
-    specs = _wave_specs(cfg)
-    if cfg.dim == 1:
-        return space.project(lambda x: superposed_real(specs, 0.0, x))
-    return space.project(lambda x, y: superposed_real(specs, 0.0, x, y))
+    if cfg.ic == "waves" and not cfg.waves:
+        raise ConfigError("ic.type = waves needs a wave: no ic.wave1.omega given")
+    return space.project(_field(cfg, cfg.ic, 0.0))
 
 
 def make_stepper(cfg: RunConfig, space, model, source):

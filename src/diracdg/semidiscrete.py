@@ -17,9 +17,16 @@ acts as a weakly absorbing wall far from the supported solution.
 Because gamma is antisymmetric the discrete charge Q_h = sum a_l u_l^2 is
 non-increasing for the exact-in-time flow: dQ/dt equals minus the summed
 squared interface jumps.  `dqdt_semidiscrete` exposes that quantity.
+
+Every scheme (this residual, `lwdg`, `tsdg`) is written once, as a loop
+over `axes(space)`: one `Direction` per coordinate, x with alpha on a 1D
+space, x with alpha and y with beta on a 2D one.  That table is the only
+place the schemes tell the two spaces apart.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -28,81 +35,82 @@ from .model import apply_alpha, apply_beta
 
 
 def interface_states(lo, hi, axis: int):
-    """Interior minus/plus states at the nx+1 interfaces along `axis`.
-
-    lo/hi are the traces on each cell's low/high edge; exterior ghost
-    states are zero.
-    """
+    """Interior minus/plus states at the nx+1 interfaces along `axis` from
+    the traces lo/hi on each cell's low/high edge; exterior ghosts are zero."""
     shp = list(lo.shape)
     shp[axis] = 1
     z = np.zeros(shp)
-    um = np.concatenate([z, hi], axis=axis)
-    up = np.concatenate([lo, z], axis=axis)
-    return um, up
+    return np.concatenate([z, hi], axis=axis), np.concatenate([lo, z], axis=axis)
 
 
 def lf_flux(apply_f, flux_minus, flux_plus, diss_minus, diss_plus):
     """Lax-Friedrichs-type flux; the advected state and the jump state may
     differ (Taylor-evolved vs plain traces in the one-step schemes)."""
-    return 0.5 * (
-        apply_f(flux_minus) + apply_f(flux_plus) - (diss_plus - diss_minus)
-    )
+    return 0.5 * (apply_f(flux_minus) + apply_f(flux_plus) - (diss_plus - diss_minus))
+
+
+def _sides(v, axis: int):
+    """(low, high)-edge views of values on the interfaces along `axis`:
+    cell j has interface j on its low edge and j + 1 on its high edge."""
+    cut = (slice(None),) * axis
+    return v[cut + (slice(None, -1),)], v[cut + (slice(1, None),)]
 
 
 def edge_term_1d(space, fhat):
     """Per-cell boundary contribution sum_e Fhat.n v_l from interface fluxes."""
-    hi = fhat[:, 1:, None] * space.tr[0, 1]
-    lo = fhat[:, :-1, None] * space.tr[0, 0]
-    return hi - lo
+    lo_f, hi_f = _sides(fhat, 1)
+    return hi_f[..., None] * space.tr[0, 1] - lo_f[..., None] * space.tr[0, 0]
 
 
 def edge_term_2d(space, fhat, axis: str):
-    if axis == "x":
-        tab = space.edgew_x
-        hi_f, lo_f = fhat[:, 1:], fhat[:, :-1]
-    else:
-        tab = space.edgew_y
-        hi_f, lo_f = fhat[:, :, 1:], fhat[:, :, :-1]
+    lo_f, hi_f = _sides(fhat, 1 if axis == "x" else 2)
+    tab = space.edgew[axis]
     return table_dot(hi_f, tab[1]) - table_dot(lo_f, tab[0])
+
+
+Direction = namedtuple("Direction", "name axis flux table edge_term")
+
+
+def axes(space):
+    """The directions of `space`: name ("x" or "y"), cell axis, flux operator,
+    weighted volume table of the derivative and edge term of each.  The edge
+    terms look `edge_term_1d`/`edge_term_2d` up when called."""
+    if space.dim == 1:
+        return (Direction("x", 1, apply_alpha, space.volw[(1, 0)],
+                          lambda fhat: edge_term_1d(space, fhat)),)
+    return (
+        Direction("x", 1, apply_alpha, space.volw[(1, 0)],
+                  lambda fhat: edge_term_2d(space, fhat, "x")),
+        Direction("y", 2, apply_beta, space.volw[(0, 1)],
+                  lambda fhat: edge_term_2d(space, fhat, "y")),
+    )
+
+
+def edge_sources(source, space, t, d, depth: int):
+    """The source jet on the interfaces along `d`, as the (low, high)-edge
+    jets of every cell; (None, None) without a source."""
+    if source is None:
+        return None, None
+    lo, hi = {}, {}
+    for key, v in source.edge_jet(space, t, d.name, depth=depth).items():
+        lo[key], hi[key] = _sides(v, d.axis)
+    return lo, hi
 
 
 def rkdg_residual(space, model, coeffs, t: float = 0.0, source=None):
     """du/dt coefficients of the semidiscrete scheme."""
-    if space.dim == 1:
-        return _residual_1d(space, model, coeffs, t, source)
-    return _residual_2d(space, model, coeffs, t, source)
-
-
-def _residual_1d(space, model, coeffs, t, source):
+    dirs = axes(space)
     uv = space.eval(coeffs)
-    vol = table_dot(apply_alpha(uv), space.phiw[1])
-    mv = model.nonlinear_term(uv)
-    if source is not None:
-        mv = mv + source.values(space, t)
-    vol += table_dot(mv, space.phiw[0])
-
-    lo, hi = space.traces(coeffs)
-    um, up = interface_states(lo, hi, axis=1)
-    fhat = lf_flux(apply_alpha, um, up, um, up)
-    edge = edge_term_1d(space, fhat)
-    return (vol - edge) / space.mass
-
-
-def _residual_2d(space, model, coeffs, t, source):
-    uv = space.eval(coeffs)
-    vol = table_dot(apply_alpha(uv), space.volw[(1, 0)])
-    vol += table_dot(apply_beta(uv), space.volw[(0, 1)])
+    vol = sum(table_dot(d.flux(uv), d.table) for d in dirs)
     mv = model.nonlinear_term(uv)
     if source is not None:
         mv = mv + source.values(space, t)
     vol += table_dot(mv, space.volw[(0, 0)])
 
-    lo, hi = space.edge_values(coeffs, "x")
-    um, up = interface_states(lo, hi, axis=1)
-    edge = edge_term_2d(space, lf_flux(apply_alpha, um, up, um, up), "x")
-    lo, hi = space.edge_values(coeffs, "y")
-    um, up = interface_states(lo, hi, axis=2)
-    edge += edge_term_2d(space, lf_flux(apply_beta, um, up, um, up), "y")
+    edge = 0.0
+    for d in dirs:
+        um, up = interface_states(*space.edge_values(coeffs, d.name), d.axis)
+        edge = edge + d.edge_term(lf_flux(d.flux, um, up, um, up))
     return (vol - edge) / space.mass
 
 

@@ -25,18 +25,16 @@ supplies Itilde (the Ihat-type moment only) and the full step reads
 theta = 1/3 (the default) reproduces the classical two-derivative
 two-stage fourth-order construction; theta = 1 degenerates (the stage
 time escapes to infinity) and is rejected.
+
+The sweep is written once over the directions `semidiscrete.axes(space)`.
 """
 
 from __future__ import annotations
 
-
 from .cascade import time_jet
-from .mesh import table_dot
 from .errors import ConfigError
-from .model import apply_alpha, apply_beta
-from .semidiscrete import edge_term_1d, edge_term_2d, interface_states, lf_flux
-
-from .lwdg import _edge_source_split
+from .mesh import table_dot
+from .semidiscrete import axes, edge_sources, interface_states, lf_flux
 
 
 def tsdg_step(space, model, coeffs, t, tau, theta: float = 1.0 / 3.0, source=None):
@@ -52,80 +50,31 @@ def tsdg_step(space, model, coeffs, t, tau, theta: float = 1.0 / 3.0, source=Non
 
 
 def _sweep(space, model, coeffs, t, source, want_first):
-    if space.dim == 1:
-        return _sweep_1d(space, model, coeffs, t, source, want_first)
-    return _sweep_2d(space, model, coeffs, t, source, want_first)
-
-
-def _sweep_1d(space, model, coeffs, t, source, want_first):
+    dirs = axes(space)
+    v0 = space.volw[(0, 0)]
     vjet = space.volume_jet(coeffs, depth=1)
     svol = source.volume_jet(space, t, depth=1) if source is not None else None
     tj = time_jet(vjet, model, depth=1, source=svol)
-    phi0, phi1 = space.phiw[0], space.phiw[1]
 
     mt = tj["Mt"] if svol is None else tj["Mt"] + svol["t"]
-    ihat_vol = table_dot(apply_alpha(tj["t"]), phi1)
-    ihat_vol += table_dot(mt, phi0)
-
-    ljet, rjet = space.trace_jets(coeffs, depth=1)
-    sedge = source.edge_jet(space, t, "x", depth=1) if source is not None else None
-    slo, shi = _edge_source_split(sedge, axis=1)
-    ut_lo = time_jet(ljet, model, depth=1, source=slo)["t"]
-    ut_hi = time_jet(rjet, model, depth=1, source=shi)["t"]
-    um, up = interface_states(ljet["u"], rjet["u"], axis=1)
-    utm, utp = interface_states(ut_lo, ut_hi, axis=1)
-    ihat = ihat_vol - edge_term_1d(space, lf_flux(apply_alpha, utm, utp, um, up))
-
-    if not want_first:
-        return None, ihat
-    mv = tj["M"] if svol is None else tj["M"] + svol["val"]
-    i_vol = table_dot(apply_alpha(vjet["u"]), phi1)
-    i_vol += table_dot(mv, phi0)
-    i_full = i_vol - edge_term_1d(space, lf_flux(apply_alpha, um, up, um, up))
-    return i_full, ihat
-
-
-def _sweep_2d(space, model, coeffs, t, source, want_first):
-    vjet = space.volume_jet(coeffs, depth=1)
-    svol = source.volume_jet(space, t, depth=1) if source is not None else None
-    tj = time_jet(vjet, model, depth=1, source=svol)
-    vx, vy, v0 = space.volw[(1, 0)], space.volw[(0, 1)], space.volw[(0, 0)]
-
-    mt = tj["Mt"] if svol is None else tj["Mt"] + svol["t"]
-    ihat_vol = table_dot(apply_alpha(tj["t"]), vx)
-    ihat_vol += table_dot(apply_beta(tj["t"]), vy)
-    ihat_vol += table_dot(mt, v0)
-
-    edges = {}
-    for axis_name, axis, flux_op in (("x", 1, apply_alpha), ("y", 2, apply_beta)):
-        lo, hi = space.edge_jets(coeffs, axis_name, depth=1)
-        sedge = (
-            source.edge_jet(space, t, axis_name, depth=1)
-            if source is not None
-            else None
-        )
-        slo, shi = _edge_source_split(sedge, axis=axis)
+    ihat = sum(table_dot(d.flux(tj["t"]), d.table) for d in dirs)
+    ihat += table_dot(mt, v0)
+    jumps = []
+    for d in dirs:
+        lo, hi = space.edge_jets(coeffs, d.name, depth=1)
+        slo, shi = edge_sources(source, space, t, d, depth=1)
         ut_lo = time_jet(lo, model, depth=1, source=slo)["t"]
         ut_hi = time_jet(hi, model, depth=1, source=shi)["t"]
-        um, up = interface_states(lo["u"], hi["u"], axis=axis)
-        utm, utp = interface_states(ut_lo, ut_hi, axis=axis)
-        edges[axis_name] = (um, up, utm, utp, flux_op)
-
-    ihat = ihat_vol
-    for axis_name, (um, up, utm, utp, flux_op) in edges.items():
-        ihat = ihat - edge_term_2d(
-            space, lf_flux(flux_op, utm, utp, um, up), axis_name
-        )
+        um, up = interface_states(lo["u"], hi["u"], d.axis)
+        utm, utp = interface_states(ut_lo, ut_hi, d.axis)
+        ihat = ihat - d.edge_term(lf_flux(d.flux, utm, utp, um, up))
+        jumps.append((d, um, up))
 
     if not want_first:
         return None, ihat
     mv = tj["M"] if svol is None else tj["M"] + svol["val"]
-    i_vol = table_dot(apply_alpha(vjet["u"]), vx)
-    i_vol += table_dot(apply_beta(vjet["u"]), vy)
-    i_vol += table_dot(mv, v0)
-    i_full = i_vol
-    for axis_name, (um, up, _, _, flux_op) in edges.items():
-        i_full = i_full - edge_term_2d(
-            space, lf_flux(flux_op, um, up, um, up), axis_name
-        )
+    i_full = sum(table_dot(d.flux(vjet["u"]), d.table) for d in dirs)
+    i_full += table_dot(mv, v0)
+    for d, um, up in jumps:
+        i_full = i_full - d.edge_term(lf_flux(d.flux, um, up, um, up))
     return i_full, ihat

@@ -13,9 +13,9 @@ import pytest
 
 from diracdg import cascade
 from diracdg.cascade import taylor_state, time_jet
-from diracdg.lwdg import _edge_source_split
 from diracdg.mesh import DGSpace1D, DGSpace2D, Grid1D, Grid2D
 from diracdg.model import NLDModel
+from diracdg.semidiscrete import axes, edge_sources
 from diracdg.waves import MMS_C1, MMS_C2, MMSSource, mms_space_jet, mms_state
 
 RNG = np.random.default_rng(7)
@@ -214,7 +214,7 @@ def _point_sets(dim, depth, forced):
     if dim == 1:
         space = DGSpace1D(Grid1D(-1.0, 1.0, 13), 3)
         coeffs = 0.6 * rng.standard_normal(space.zeros().shape)
-        sets = [space.volume_jet(coeffs, depth), *space.trace_jets(coeffs, depth)]
+        sets = [space.volume_jet(coeffs, depth), *space.edge_jets(coeffs, "x", depth)]
         if not forced:
             return [(j, None) for j in sets]
         keys = ("val", "t") if depth == 1 else ("val", "t", "x", "xx", "tx", "tt")
@@ -227,11 +227,9 @@ def _point_sets(dim, depth, forced):
     src = MMSSource(NLDModel()) if forced else None
     pairs = [(space.volume_jet(coeffs, depth),
               src.volume_jet(space, 0.7, depth) if forced else None)]
-    for name, axis in (("x", 1), ("y", 2)):
-        lo, hi = space.edge_jets(coeffs, name, depth)
-        slo, shi = _edge_source_split(
-            src.edge_jet(space, 0.7, name, depth) if forced else None, axis
-        )
+    for d in axes(space):
+        lo, hi = space.edge_jets(coeffs, d.name, depth)
+        slo, shi = edge_sources(src, space, 0.7, d, depth)
         pairs += [(lo, slo), (hi, shi)]
     return pairs
 

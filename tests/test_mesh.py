@@ -150,7 +150,7 @@ def test_projection_reproduces_polynomials(q):
 def test_traces_consistent_with_point_values():
     sp = DGSpace1D(Grid1D(0.0, 1.0, 5), 2)
     c = sp.project(lambda x: np.stack([np.sin(x), x, x**2, 0 * x]))
-    lo, hi = sp.traces(c)
+    lo, hi = sp.edge_values(c, "x")
     # evaluate just inside each cell's ends
     faces = sp.grid.interfaces()
     left_pts = sp.point_values(c, faces[:-1] + 1e-12)

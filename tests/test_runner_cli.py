@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diracdg import runner
-from diracdg.cli import main
+from diracdg.cli import build_parser, main
 from diracdg.errors import ConfigError
 from diracdg.integrators import cfl_dt
 from diracdg.runner import (
@@ -404,14 +404,72 @@ _FAST_MMS = RunConfig(
         (replace(_FAST_MMS, ny=0), "grid.ny"),
         (replace(_FAST_MMS, ymin=2.0, ymax=-2.0), "grid.ymin"),
         (replace(FAST_1D, history_every=0), "history_every"),
+        (replace(FAST_1D, nx=0), "grid.nx"),
+        (replace(FAST_1D, waves=()), "ic.wave1"),
     ],
-    ids=["x-reversed", "x-empty", "2d-no-ny", "y-reversed", "history-every-0"],
+    ids=["x-reversed", "x-empty", "2d-no-ny", "y-reversed", "history-every-0",
+         "no-cells", "no-waves"],
 )
 def test_cli_rejects_degenerate_config(capsys, tmp_path, cfg, words):
     cfgfile = tmp_path / "bad.cfg"
     save_config(cfgfile, cfg)
     assert main(["run", "--config", str(cfgfile)]) == 2
     assert words in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line,words",
+    [("run.q = 2.5", "run.q"), ("grid.nxx = 200", "grid.nxx")],
+    ids=["float-degree", "typo-key"],
+)
+def test_cli_rejects_config_text(capsys, tmp_path, line, words):
+    cfgfile = tmp_path / "bad.cfg"
+    save_config(cfgfile, FAST_1D)
+    with open(cfgfile, "a") as fh:
+        fh.write(line + "\n")
+    assert main(["run", "--config", str(cfgfile)]) == 2
+    assert words in capsys.readouterr().err
+
+
+def test_config_from_flat_takes_integral_floats_only():
+    assert config_from_flat({"run.q": 2.0, "grid.nx": 12.0}).q == 2
+    assert type(config_from_flat({"run.q": 2.0}).q) is int
+    for flat in (
+        {"run.q": 2.5},
+        {"run.q": True},
+        {"grid.nx": "many"},
+        {"ic.wave1.omega": 0.8, "ic.wave1.S": 0.5},
+    ):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            config_from_flat(flat)
+
+
+def test_config_from_flat_rejects_unused_keys():
+    for flat in (
+        {"grid.nxx": 200},
+        {"probe.y": 1.0},
+        {"ic.wave2.omega": 0.8},  # no wave 1
+        {"ic.wave1.v": 0.1},  # a wave without its frequency
+    ):
+        with pytest.raises(ConfigError, match="unknown or unused"):
+            config_from_flat(flat)
+
+
+@pytest.mark.parametrize("flag", ["--deterministic", "--jobs"])
+def test_cli_run_rejects_removed_flags(capsys, tmp_path, flag):
+    cfgfile = tmp_path / "fast.cfg"
+    save_config(cfgfile, FAST_1D)
+    argv = ["run", "--config", str(cfgfile), flag] + (["7"] if flag == "--jobs" else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_converge_keeps_jobs():
+    args = build_parser().parse_args(["converge", "--preset", "ex41-accuracy",
+                                      "--jobs", "3"])
+    assert args.jobs == 3
 
 
 def test_cli_missing_config_file(capsys):

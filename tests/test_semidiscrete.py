@@ -54,7 +54,7 @@ def test_dqdt_nonpositive_2d(q):
 def test_dqdt_equals_minus_squared_jumps_1d(q):
     sp = DGSpace1D(Grid1D(-2.0, 2.0, 13), q)
     c = _random_coeffs(sp)
-    lo, hi = sp.traces(c)
+    lo, hi = sp.edge_values(c, "x")
     um, up = interface_states(lo, hi, axis=1)
     expected = -float(np.sum((up - um) ** 2))
     assert dqdt_semidiscrete(sp, MODEL, c) == pytest.approx(
