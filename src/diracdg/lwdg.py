@@ -30,8 +30,12 @@ from .semidiscrete import axes, edge_sources, interface_states, lf_flux
 
 def _taylor_w(jet, model, tau, source):
     tj = time_jet(jet, model, depth=3, source=source, mttt=False)
-    return (jet["u"] + (tau / 2.0) * tj["t"] + (tau * tau / 6.0) * tj["tt"]
-            + (tau**3 / 24.0) * tj["ttt"])
+    return (
+        jet["u"]
+        + (tau / 2.0) * tj["t"]
+        + (tau * tau / 6.0) * tj["tt"]
+        + (tau**3 / 24.0) * tj["ttt"]
+    )
 
 
 def lwdg_step(space, model, coeffs, t, tau, source=None):

@@ -12,11 +12,10 @@ Every integral in the suite (projection, residuals, error norms) uses the
 same (q+1)-point Gauss-Legendre rule per axis; the nodes and weights are
 hardcoded below to keep results bit-reproducible across platforms.
 
-`DGSpace1D` and `DGSpace2D` share one interface: `eval`/`volume_jet` at
-the volume quadrature points, `edge_values`/`edge_jets(coeffs, axis)` on
-each cell's (low, high) edges normal to `axis` ("x", and "y" in 2D; a 1D
-end value is (4, nx), a 2D edge (4, nx, ny, q+1)), the weight-scaled tables
-`volw[(i, j)]` of the (i, j)-th derivative ((0, 0), (1, 0) in 1D), `mass`.
+Both spaces offer the schemes one interface: `mass`, `eval`/`volume_jet` at
+volume quadrature points, weight-scaled tables `volw[(i, j)]` of the (i, j)-th
+derivative, and `edge_values`/`edge_jets(coeffs, axis)` on each cell's (low,
+high) edges normal to "x" or "y", shaped (4, nx) in 1D, (4, nx, ny, q+1) in 2D.
 """
 
 from __future__ import annotations
@@ -272,7 +271,6 @@ class DGSpace2D:
         self.orders = tensor_orders(q)
         self.nloc = len(self.orders)
         n1 = q + 1
-        self.n1 = n1
         self.nq = n1 * n1
         xi, wt = gauss_rule(n1)
         hx, hy = grid.dx, grid.dy
@@ -324,11 +322,8 @@ class DGSpace2D:
         return np.zeros((4, self.grid.nx, self.grid.ny, self.nloc))
 
     def project(self, fn):
-        vals = np.asarray(fn(self.xq, self.yq))
-        if vals.shape[1:] != (self.grid.nx, self.grid.ny, self.nq):
-            vals = np.broadcast_to(
-                vals, (4, self.grid.nx, self.grid.ny, self.nq)
-            )
+        shape = (4, self.grid.nx, self.grid.ny, self.nq)
+        vals = np.broadcast_to(np.asarray(fn(self.xq, self.yq)), shape)
         return table_dot(vals, self.volw[(0, 0)]) / self.mass
 
     def eval(self, coeffs, dx: int = 0, dy: int = 0):

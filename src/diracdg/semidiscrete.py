@@ -35,18 +35,25 @@ from .model import apply_alpha, apply_beta
 
 
 def interface_states(lo, hi, axis: int):
-    """Interior minus/plus states at the nx+1 interfaces along `axis` from
-    the traces lo/hi on each cell's low/high edge; exterior ghosts are zero."""
+    """Interior minus/plus states at the nx+1 interfaces along `axis`.
+
+    lo/hi are the traces on each cell's low/high edge; exterior ghost
+    states are zero.
+    """
     shp = list(lo.shape)
     shp[axis] = 1
     z = np.zeros(shp)
-    return np.concatenate([z, hi], axis=axis), np.concatenate([lo, z], axis=axis)
+    um = np.concatenate([z, hi], axis=axis)
+    up = np.concatenate([lo, z], axis=axis)
+    return um, up
 
 
 def lf_flux(apply_f, flux_minus, flux_plus, diss_minus, diss_plus):
     """Lax-Friedrichs-type flux; the advected state and the jump state may
     differ (Taylor-evolved vs plain traces in the one-step schemes)."""
-    return 0.5 * (apply_f(flux_minus) + apply_f(flux_plus) - (diss_plus - diss_minus))
+    return 0.5 * (
+        apply_f(flux_minus) + apply_f(flux_plus) - (diss_plus - diss_minus)
+    )
 
 
 def _sides(v, axis: int):
@@ -73,8 +80,8 @@ Direction = namedtuple("Direction", "name axis flux table edge_term")
 
 def axes(space):
     """The directions of `space`: name ("x" or "y"), cell axis, flux operator,
-    weighted volume table of the derivative and edge term of each.  The edge
-    terms look `edge_term_1d`/`edge_term_2d` up when called."""
+    weighted volume table and edge term.  The edge terms look `edge_term_1d`
+    and `edge_term_2d` up at call time, so a rebinding (perfbench's) shows."""
     if space.dim == 1:
         return (Direction("x", 1, apply_alpha, space.volw[(1, 0)],
                           lambda fhat: edge_term_1d(space, fhat)),)

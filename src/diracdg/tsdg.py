@@ -51,14 +51,13 @@ def tsdg_step(space, model, coeffs, t, tau, theta: float = 1.0 / 3.0, source=Non
 
 def _sweep(space, model, coeffs, t, source, want_first):
     dirs = axes(space)
-    v0 = space.volw[(0, 0)]
     vjet = space.volume_jet(coeffs, depth=1)
     svol = source.volume_jet(space, t, depth=1) if source is not None else None
     tj = time_jet(vjet, model, depth=1, source=svol)
 
     mt = tj["Mt"] if svol is None else tj["Mt"] + svol["t"]
     ihat = sum(table_dot(d.flux(tj["t"]), d.table) for d in dirs)
-    ihat += table_dot(mt, v0)
+    ihat += table_dot(mt, space.volw[(0, 0)])
     jumps = []
     for d in dirs:
         lo, hi = space.edge_jets(coeffs, d.name, depth=1)
@@ -74,7 +73,7 @@ def _sweep(space, model, coeffs, t, source, want_first):
         return None, ihat
     mv = tj["M"] if svol is None else tj["M"] + svol["val"]
     i_full = sum(table_dot(d.flux(vjet["u"]), d.table) for d in dirs)
-    i_full += table_dot(mv, v0)
+    i_full += table_dot(mv, space.volw[(0, 0)])
     for d, um, up in jumps:
         i_full = i_full - d.edge_term(lf_flux(d.flux, um, up, um, up))
     return i_full, ihat
