@@ -12,10 +12,9 @@ Every integral in the suite (projection, residuals, error norms) uses the
 same (q+1)-point Gauss-Legendre rule per axis; the nodes and weights are
 hardcoded below to keep results bit-reproducible across platforms.
 
-Both spaces offer the schemes one interface: `mass`, `eval`/`volume_jet` at
-volume quadrature points, weight-scaled tables `volw[(i, j)]` of the (i, j)-th
-derivative, and `edge_values`/`edge_jets(coeffs, axis)` on each cell's (low,
-high) edges normal to "x" or "y", shaped (4, nx) in 1D, (4, nx, ny, q+1) in 2D.
+Both spaces give the schemes `mass`, `eval`/`volume_jet`, the weighted tables
+`volw[(i, j)]` of the (i, j)-th derivative and `edge_values`/`edge_jets(coeffs,
+axis)` on each cell's (low, high) edges normal to "x" (or "y" in 2D).
 """
 
 from __future__ import annotations
@@ -222,7 +221,7 @@ class DGSpace1D:
         return {k: self.eval(coeffs, _DERIV_1D[k]) for k in JET_KEYS_1D[depth]}
 
     def edge_jets(self, coeffs, axis: str, depth: int = 3):
-        """Jets at each cell's (low, high) end (`axis` is "x"); arrays (4, nx)."""
+        """Jets at each cell's (low, high) end (`axis` is "x"), each (4, nx)."""
         lo, hi = {}, {}
         for key in JET_KEYS_1D[depth]:
             t = table_dot(coeffs, self.tr[_DERIV_1D[key]].T)
