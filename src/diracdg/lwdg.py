@@ -54,5 +54,5 @@ def lwdg_step(space, model, coeffs, t, tau, source=None):
             _taylor_w(lo, model, tau, slo), _taylor_w(hi, model, tau, shi), d.axis
         )
         um, up = interface_states(lo["u"], hi["u"], d.axis)
-        edge = edge + d.edge_term(lf_flux(d.flux, wm, wp, um, up))
+        edge += d.edge_term(lf_flux(d.flux, wm, wp, um, up))
     return coeffs + tau * (vol - edge) / space.mass

@@ -78,8 +78,8 @@ Direction = namedtuple("Direction", "name axis flux table edge_term")
 
 
 def axes(space):
-    """Per direction: name, cell axis, flux operator, weighted volume table and
-    edge term (which looks `edge_term_1d`/`_2d` up when called, not now)."""
+    """Per direction: name, cell axis, flux, weighted volume table, edge term;
+    the edge terms resolve `edge_term_1d`/`_2d` when called, so rebinds show."""
     if space.dim == 1:
         return (Direction("x", 1, apply_alpha, space.volw[(1, 0)],
                           lambda fhat: edge_term_1d(space, fhat)),)
@@ -103,9 +103,8 @@ def edge_sources(source, space, t, d, depth: int):
 
 def rkdg_residual(space, model, coeffs, t: float = 0.0, source=None):
     """du/dt coefficients of the semidiscrete scheme."""
-    # Both sums accumulate in place, as `a += b`: sum() adds two full-mesh
-    # temporaries to each, which made a 200^2 P2 rk4 step ~17 % slower (lwdg
-    # and tsdg sum one to three times a step, where it did not show).
+    # In-place sums: sum()'s full-mesh temporaries made glibc trim and refault
+    # the heap, 6x the page faults and ~25 % more time per 200^2 P2 rk4 step.
     dirs = axes(space)
     uv = space.eval(coeffs)
     vol = reduce(iadd, (table_dot(d.flux(uv), d.table) for d in dirs))
@@ -114,11 +113,12 @@ def rkdg_residual(space, model, coeffs, t: float = 0.0, source=None):
         mv = mv + source.values(space, t)
     vol += table_dot(mv, space.volw[(0, 0)])
 
-    edges = []
+    edge = 0.0
     for d in dirs:
-        um, up = interface_states(*space.edge_values(coeffs, d.name), d.axis)
-        edges.append(d.edge_term(lf_flux(d.flux, um, up, um, up)))
-    return (vol - reduce(iadd, edges)) / space.mass
+        lo, hi = space.edge_values(coeffs, d.name)
+        um, up = interface_states(lo, hi, d.axis)
+        edge += d.edge_term(lf_flux(d.flux, um, up, um, up))
+    return (vol - edge) / space.mass
 
 
 def dqdt_semidiscrete(space, model, coeffs, t: float = 0.0, source=None):
