@@ -220,18 +220,3 @@ def _time_jet_block(space_jet, model, depth, source, mttt):
     )
     return out
 
-
-def taylor_state(space_jet, model, tau: float, source=None):
-    """(w, G) of the one-step Taylor update at the jet's point set:
-
-    w = u + tau/2 u_t + tau^2/6 u_tt + tau^3/24 u_ttt, and the matching
-    zero-order moment G = M + tau/2 M_t + tau^2/6 M_tt + tau^3/24 M_ttt
-    (+ the same combination of source derivatives when forced).
-    """
-    tj = time_jet(space_jet, model, depth=3, source=source)
-    c1, c2, c3 = tau / 2.0, tau * tau / 6.0, tau**3 / 24.0
-    w = space_jet["u"] + c1 * tj["t"] + c2 * tj["tt"] + c3 * tj["ttt"]
-    G = tj["M"] + c1 * tj["Mt"] + c2 * tj["Mtt"] + c3 * tj["Mttt"]
-    if source is not None:
-        G = G + source["val"] + c1 * source["t"] + c2 * source["tt"] + c3 * source["ttt"]
-    return w, G

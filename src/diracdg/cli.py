@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -30,17 +29,14 @@ from .errors import (
 )
 from .model import NLDModel
 from .runner import (
-    PRESETS,
     RunConfig,
-    WaveSpec,
+    _typed,
     config_from_flat,
     config_to_flat,
     converge_study,
-    load_config,
     parse_config_text,
     preset_config,
     run_simulation,
-    save_config,
 )
 from .waves import decay_rate, profile_charge, save_profile, solve_standing_wave
 
@@ -100,40 +96,26 @@ def build_parser():
 
 
 def _resolve_config(args) -> RunConfig:
-    if args.preset:
-        cfg = preset_config(args.preset, full_scale=args.full_scale)
-    elif args.config:
-        cfg = RunConfig()
-    else:
+    """Preset, config file and flags merged, in that order, into one flat
+    config, each flag under its own key, and read by `config_from_flat`."""
+    if not (args.preset or args.config):
         raise ConfigError("provide --preset and/or --config")
+    if args.full_scale and not args.preset:
+        raise ConfigError("--full-scale needs --preset")
+    base = preset_config(args.preset, args.full_scale) if args.preset else RunConfig()
+    flat = config_to_flat(base)
     if args.config:
-        flat = config_to_flat(cfg)
         with open(args.config) as fh:
             flat.update(parse_config_text(fh.read()))
-        cfg = config_from_flat(flat)
-
-    upd = {}
-    if args.mu is not None:
-        upd["mu"] = args.mu
-    if args.tfinal is not None:
-        upd["tfinal"] = args.tfinal
-    if args.scheme is not None:
-        upd["scheme"] = args.scheme
-    if args.q is not None:
-        upd["q"] = args.q
-    if args.cells is not None and args.command == "run":
-        n = int(str(args.cells).split(",")[0])
-        upd["nx"] = n
-        if cfg.dim == 2:
-            upd["ny"] = n
-    if (args.omega is not None or args.v is not None) and cfg.waves:
-        first = cfg.waves[0]
-        if args.omega is not None:
-            first = replace(first, omega=args.omega)
-        if args.v is not None:
-            first = replace(first, v=args.v)
-        upd["waves"] = (first,) + cfg.waves[1:]
-    return replace(cfg, **upd) if upd else cfg
+    cells = args.cells if args.command == "run" else None
+    flags = {
+        "run.mu": args.mu, "run.tfinal": args.tfinal, "run.scheme": args.scheme,
+        "run.q": args.q, "grid.nx": cells,
+        "grid.ny": cells if flat["grid.dim"] == 2 else None,
+        "ic.wave1.omega": args.omega, "ic.wave1.v": args.v,
+    }
+    flat.update((key, val) for key, val in flags.items() if val is not None)
+    return config_from_flat(flat)
 
 
 def cmd_run(args) -> int:
@@ -156,7 +138,7 @@ def cmd_run(args) -> int:
 def cmd_converge(args) -> int:
     cfg = _resolve_config(args)
     if args.cells:
-        cells = [int(tok) for tok in str(args.cells).split(",")]
+        cells = [_typed("grid.nx", tok) for tok in args.cells.split(",")]
     else:
         cells = [20, 40, 80] if cfg.dim == 2 else [100, 200, 400]
     study = converge_study(cfg, cells, jobs=args.jobs)

@@ -14,16 +14,8 @@ def total_charge(space, coeffs) -> float:
 
 
 def total_energy(space, coeffs, model) -> float:
-    if space.dim == 1:
-        u = space.eval(coeffs, 0)
-        ux = space.eval(coeffs, 1)
-        dens = energy_density(u, ux, model)
-    else:
-        u = space.eval(coeffs)
-        ux = space.eval(coeffs, 1, 0)
-        uy = space.eval(coeffs, 0, 1)
-        dens = energy_density(u, ux, model, uy)
-    return space.integrate(dens)
+    jet = space.volume_jet(coeffs, depth=1)
+    return space.integrate(energy_density(jet["u"], jet["x"], model, jet.get("y")))
 
 
 def relative_drift(value: float, reference: float) -> float:
@@ -39,13 +31,9 @@ def charge_deviation(space, coeffs, ref_coeffs) -> float:
     return float(np.max(np.abs(now - ref)))
 
 
-def probe_charge_density(space, coeffs, x, y=None) -> float:
-    """|psi|^2 of the broken polynomial at a single point."""
-    if space.dim == 1:
-        vals = space.point_values(coeffs, np.atleast_1d(x))
-    else:
-        vals = space.point_values(coeffs, np.atleast_1d(x), np.atleast_1d(y))
-    return float(charge_density(vals)[0])
+def probe_charge_density(space, coeffs, *point) -> float:
+    """|psi|^2 of the broken polynomial at a single point (x or x, y)."""
+    return float(charge_density(space.point_values(coeffs, *point))[0])
 
 
 def order_table(cells, errors, label: str = "L2 error") -> str:

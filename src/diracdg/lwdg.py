@@ -23,19 +23,31 @@ The step is written once over the directions `semidiscrete.axes(space)`.
 
 from __future__ import annotations
 
-from .cascade import taylor_state, time_jet
+from .cascade import time_jet
 from .mesh import table_dot
 from .semidiscrete import axes, edge_sources, interface_states, lf_flux
 
 
+def _taylor(tau, f, ft, ftt, fttt):
+    """f + tau/2 f_t + tau^2/6 f_tt + tau^3/24 f_ttt."""
+    return f + (tau / 2.0) * ft + (tau * tau / 6.0) * ftt + (tau**3 / 24.0) * fttt
+
+
+def taylor_state(space_jet, model, tau: float, source=None):
+    """(w, G) at the volume points: the Taylor state w and the matching
+    combination G of M (+ of the source derivatives when forced)."""
+    tj = time_jet(space_jet, model, depth=3, source=source)
+    w = _taylor(tau, space_jet["u"], tj["t"], tj["tt"], tj["ttt"])
+    G = _taylor(tau, tj["M"], tj["Mt"], tj["Mtt"], tj["Mttt"])
+    if source is not None:
+        G = _taylor(tau, G + source["val"], source["t"], source["tt"], source["ttt"])
+    return w, G
+
+
 def _taylor_w(jet, model, tau, source):
+    """The Taylor state w at edge points, which need no M_ttt."""
     tj = time_jet(jet, model, depth=3, source=source, mttt=False)
-    return (
-        jet["u"]
-        + (tau / 2.0) * tj["t"]
-        + (tau * tau / 6.0) * tj["tt"]
-        + (tau**3 / 24.0) * tj["ttt"]
-    )
+    return _taylor(tau, jet["u"], tj["t"], tj["tt"], tj["ttt"])
 
 
 def lwdg_step(space, model, coeffs, t, tau, source=None):

@@ -8,15 +8,23 @@ and measures errors against the exact solution the configuration implies
 (single travelling/standing wave, or the manufactured field).
 
 Config files are plain ``section.key = value`` lines; see `save_config` /
-`load_config`.  The bundled presets mirror the standard experiment set at
-desk scale; `full_scale=True` restores the published domain, resolution
-and final time of each experiment.
+`load_config`.  Each value is read once, by `_typed`, as the type of its
+field's default: a string verbatim, an integer (``2.0`` reads as 2), a
+finite float, or a comma list of floats for ``run.snapshots``.  A word or
+fraction where a number or integer belongs, a key no field uses, and a
+value or combination `_validate` rejects (a probe off the grid, waves in
+the manufactured problem, ...) raise `ConfigError`; the CLI reads its
+flags through the same path and exits 2 on it.  The bundled presets
+mirror the standard experiment set at desk scale; `full_scale=True`
+restores the published domain, resolution and final time of each
+experiment.
 """
 
 from __future__ import annotations
 
-import numbers
+import math
 import os
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -105,15 +113,15 @@ _SCALAR_FIELDS = {
     "ic.wave_N": "wave_N",
 }
 _WAVE_FIELDS = ("omega", "v", "x0", "y0", "S")
-
-# parse_config_text guesses the other values' types from their spelling, so
-# a q written as "2.0" arrives as a float; normalise per field here, but
-# never by truncation: q = 2.5 is an error, not P2.
-_STR_ATTRS = frozenset(("label", "scheme", "rk", "exact", "ic", "source"))
-_INT_ATTRS = frozenset(("q", "dim", "nx", "ny", "history_every", "wave_N"))
-# string-typed keys are kept verbatim: a label "false" or "42" is no bool
-# or number
-_STR_KEYS = frozenset(k for k, a in _SCALAR_FIELDS.items() if a in _STR_ATTRS)
+# each flat value is read as the type of its field's default
+_TYPES = {key: type(getattr(RunConfig, attr)) for key, attr in _SCALAR_FIELDS.items()}
+_TYPES.update({"probe.x": float, "probe.y": float, "run.snapshots": list})
+_TYPES.update({f"ic.wave.{f}": type(getattr(WaveSpec, f)) for f in _WAVE_FIELDS})
+_CHOICES = {
+    "run.scheme": ("rkdg", "lwdg", "tsdg"), "run.rk": ("rk4", "tvd3"),
+    "run.exact": ("auto", "waves", "mms", "none"), "grid.dim": (1, 2),
+    "ic.type": ("waves", "mms"), "ic.source": ("none", "mms"),
+}
 
 
 def config_to_flat(cfg: RunConfig) -> dict:
@@ -130,44 +138,46 @@ def config_to_flat(cfg: RunConfig) -> dict:
     return flat
 
 
-def _integral(key: str, val) -> int:
-    """The value of an integer field: 2 or 2.0, but not 2.5, true or "two"."""
-    if isinstance(val, float) and val.is_integer():
-        return int(val)
-    if isinstance(val, numbers.Integral) and not isinstance(val, bool):
-        return int(val)
-    raise ConfigError(f"{key} must be an integer, got {val!r}")
+def _typed(key: str, val):
+    """A flat value read as the type of its field: a string verbatim, an
+    integer (2 or "2.0", not 2.5, true or "two"), a finite float, or for
+    run.snapshots a comma list of floats.  A key that names no field comes
+    back as it is, for `config_from_flat` to reject."""
+    kind = _TYPES.get(re.sub(r"^ic\.wave\d+\.", "ic.wave.", key))
+    if kind is list:
+        if not isinstance(val, (list, tuple)):
+            val = str(val).split(",") if str(val).strip() else []
+        return [_number(key, tok, float) for tok in val]
+    if kind is int or kind is float:
+        return _number(key, val, kind)
+    return str(val) if kind is str else val
+
+
+def _number(key: str, val, kind):
+    try:
+        num = math.nan if isinstance(val, bool) else float(val)
+    except (TypeError, ValueError):
+        num = math.nan
+    if math.isfinite(num) and (kind is float or num.is_integer()):
+        return kind(num)
+    what = "an integer" if kind is int else "a finite number"
+    raise ConfigError(f"{key} must be {what}, got {val!r}")
 
 
 def config_from_flat(flat: dict) -> RunConfig:
-    kwargs = {}
-    for key, attr in _SCALAR_FIELDS.items():
-        if key in flat:
-            val = flat[key]
-            if attr in _STR_ATTRS:
-                val = str(val)
-            elif attr in _INT_ATTRS:
-                val = _integral(key, val)
-            kwargs[attr] = val
+    flat = {key: _typed(key, val) for key, val in flat.items()}
+    kwargs = {attr: flat[key] for key, attr in _SCALAR_FIELDS.items() if key in flat}
     known = set(_SCALAR_FIELDS) | {"probe.x", "run.snapshots"}
     waves = []
     while f"ic.wave{len(waves) + 1}.omega" in flat:
         keys = {f: f"ic.wave{len(waves) + 1}.{f}" for f in _WAVE_FIELDS}
-        fields = {f: flat.get(k, getattr(WaveSpec, f)) for f, k in keys.items()}
-        fields["S"] = _integral(keys["S"], fields["S"])
-        waves.append(WaveSpec(**fields))
+        waves.append(WaveSpec(**{f: flat[k] for f, k in keys.items() if k in flat}))
         known.update(keys.values())
     kwargs["waves"] = tuple(waves)
     if "probe.x" in flat:
         known.add("probe.y")
-        probe = (flat["probe.x"],)
-        if "probe.y" in flat:
-            probe = probe + (flat["probe.y"],)
-        kwargs["probe"] = probe
-    if "run.snapshots" in flat and flat["run.snapshots"]:
-        kwargs["snapshots"] = tuple(
-            float(tok) for tok in str(flat["run.snapshots"]).split(",")
-        )
+        kwargs["probe"] = tuple(flat[k] for k in ("probe.x", "probe.y") if k in flat)
+    kwargs["snapshots"] = tuple(flat.get("run.snapshots", ()))
     unknown = sorted(set(flat) - known)
     if unknown:
         raise ConfigError(f"unknown or unused config keys: {', '.join(unknown)}")
@@ -177,61 +187,44 @@ def config_from_flat(flat: dict) -> RunConfig:
 
 
 def _validate(cfg: RunConfig):
-    if cfg.scheme not in ("rkdg", "lwdg", "tsdg"):
-        raise ConfigError(f"unknown scheme {cfg.scheme!r}")
-    if cfg.rk not in ("rk4", "tvd3"):
-        raise ConfigError(f"unknown Runge-Kutta variant {cfg.rk!r}")
-    if cfg.dim not in (1, 2):
-        raise ConfigError(f"dim must be 1 or 2, got {cfg.dim}")
-    if cfg.ic not in ("waves", "mms"):
-        raise ConfigError(f"unknown initial condition {cfg.ic!r}")
-    if cfg.source not in ("none", "mms"):
-        raise ConfigError(f"unknown source {cfg.source!r}")
-    if cfg.ic == "mms" and cfg.dim != 2:
-        raise ConfigError("the manufactured problem is two-dimensional")
-    if cfg.scheme == "tsdg" and abs(1.0 - cfg.theta) < 1e-12:
-        raise ConfigError("two-stage scheme undefined at theta = 1")
-    if not cfg.xmin < cfg.xmax:
-        raise ConfigError(
-            f"grid.xmin = {cfg.xmin} must lie below grid.xmax = {cfg.xmax}"
-        )
-    if cfg.dim == 2:
-        if cfg.ny < 1:
-            raise ConfigError(f"a 2D grid needs grid.ny >= 1, got {cfg.ny}")
-        if not cfg.ymin < cfg.ymax:
+    for key, allowed in _CHOICES.items():
+        val = getattr(cfg, _SCALAR_FIELDS[key])
+        if val not in allowed:
             raise ConfigError(
-                f"grid.ymin = {cfg.ymin} must lie below grid.ymax = {cfg.ymax}"
+                f"{key} must be one of {', '.join(map(str, allowed))}, got {val!r}"
             )
-    if cfg.history_every < 1:
-        raise ConfigError(
-            f"run.history_every must be >= 1, got {cfg.history_every}"
-        )
+    box = ((cfg.xmin, cfg.xmax), (cfg.ymin, cfg.ymax))[: cfg.dim]
+    for bad, msg in (
+        ("mms" in (cfg.ic, cfg.source, cfg.exact) and cfg.dim != 2,
+         "the manufactured problem is two-dimensional"),
+        (cfg.ic == "mms" and cfg.waves,
+         "ic.type = mms takes no ic.waveN entries (--omega and --v set ic.wave1)"),
+        (cfg.exact == "waves" and not cfg.waves,
+         "run.exact = waves needs a wave: no ic.wave1.omega given"),
+        (any(wv.S < 0 for wv in cfg.waves), "each ic.waveN.S must be >= 0"),
+        (cfg.wave_N < 2 or cfg.wave_R < 0.0,
+         f"ic.wave_N = {cfg.wave_N} must be >= 2 and ic.wave_R = {cfg.wave_R} >= 0"),
+        (cfg.scheme == "tsdg" and abs(1.0 - cfg.theta) < 1e-12,
+         "two-stage scheme undefined at theta = 1"),
+        (not 0.0 <= cfg.mu < math.inf,
+         f"run.mu must be >= 0 and finite (0 picks the default), got {cfg.mu}"),
+        (cfg.history_every < 1,
+         f"run.history_every must be >= 1, got {cfg.history_every}"),
+        (not cfg.xmin < cfg.xmax,
+         f"grid.xmin = {cfg.xmin} must lie below grid.xmax = {cfg.xmax}"),
+        (cfg.dim == 2 and cfg.ny < 1, f"a 2D grid needs grid.ny >= 1, got {cfg.ny}"),
+        (cfg.dim == 2 and not cfg.ymin < cfg.ymax,
+         f"grid.ymin = {cfg.ymin} must lie below grid.ymax = {cfg.ymax}"),
+        (cfg.probe and not (len(cfg.probe) == cfg.dim and all(
+            lo <= p <= hi for p, (lo, hi) in zip(cfg.probe, box))),
+         f"probe.x/probe.y = {cfg.probe} must give a point of the grid {box}"),
+    ):
+        if bad:
+            raise ConfigError(msg)
 
 
 def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _parse_value(tok: str):
-    tok = tok.strip()
-    low = tok.lower()
-    if low == "true":
-        return True
-    if low == "false":
-        return False
-    try:
-        return int(tok)
-    except ValueError:
-        pass
-    try:
-        return float(tok)
-    except ValueError:
-        pass
-    return tok
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def save_config(path, cfg: RunConfig):
@@ -251,7 +244,7 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected 'key = value'")
         key, val = (part.strip() for part in line.split("=", 1))
-        flat[key] = val if key in _STR_KEYS else _parse_value(val)
+        flat[key] = _typed(key, val)
     return flat
 
 
@@ -416,12 +409,9 @@ def converge_study(cfg: RunConfig, cells, jobs: int = 1):
     """Errors/orders under mesh refinement; needs an exact solution."""
     if cfg.exact_kind() == "none":
         raise ConfigError("convergence study needs a computable exact solution")
-    configs = []
-    for n in cells:
-        upd = {"nx": int(n)}
-        if cfg.dim == 2:
-            upd["ny"] = int(n)
-        configs.append(replace(cfg, **upd))
+    configs = [
+        replace(cfg, nx=int(n), ny=int(n) if cfg.dim == 2 else cfg.ny) for n in cells
+    ]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -551,7 +551,7 @@ class MMSSource:
     def jet(self, x, y, t, depth: int = 3):
         """Source derivatives at the points (x, y): depth 0 gives only
         'val', depth 1 adds 't', depth 3 every key `cascade.time_jet` and
-        `cascade.taylor_state` read."""
+        `lwdg.taylor_state` read."""
         d = _PhiJet(x, y, t, order=3 if depth > 1 else 1)
         phi = d(0, 0, 0)
         pt, px, py = d(0, 0, 1), d(1, 0, 0), d(0, 1, 0)

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from diracdg import cascade
-from diracdg.cascade import taylor_state, time_jet
+from diracdg.cascade import time_jet
+from diracdg.lwdg import taylor_state
 from diracdg.mesh import DGSpace1D, DGSpace2D, Grid1D, Grid2D
 from diracdg.model import NLDModel
 from diracdg.semidiscrete import axes, edge_sources

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diracdg import runner
+from diracdg import cli, runner
 from diracdg.cli import build_parser, main
-from diracdg.errors import ConfigError
+from diracdg.errors import ConfigError, DiracDGError
 from diracdg.integrators import cfl_dt
 from diracdg.runner import (
     PRESETS,
@@ -20,14 +20,16 @@ from diracdg.runner import (
     config_from_flat,
     config_to_flat,
     converge_study,
+    initial_state,
     load_config,
+    make_stepper,
     parse_config_text,
     preset_config,
     read_history,
     run_simulation,
     save_config,
 )
-from diracdg.waves import superposed_real
+from diracdg.waves import MMSSource, superposed_real
 
 FAST_1D = RunConfig(
     label="fast", dim=1, scheme="rkdg", q=2, xmin=-10.0, xmax=10.0, nx=50,
@@ -109,6 +111,45 @@ def test_config_text_roundtrip(cfg):
     )
     back = config_from_flat(parse_config_text(text))
     assert back == cfg
+
+
+_STEP_BASES = (
+    replace(FAST_1D, nx=8, wave_N=32, probe=(0.5,), snapshots=(0.1,)),
+    RunConfig(label="mms", dim=2, q=1, xmin=-2.0, xmax=2.0, nx=3, ymin=-2.0,
+              ymax=2.0, ny=3, tfinal=0.05, ic="mms", source="mms"),
+)
+# small integers only, so that no drawn grid.nx, grid.ny or ic.wave_N
+# allocates much
+_DRAWN_TEXT = st.one_of(
+    st.sampled_from(["", "abc", "true", "1/3", "-0.5", "2.5", "nan", "inf",
+                     "-inf", "rkdg", "mms", "waves"]),
+    st.integers(-2, 12).map(str),
+    st.floats(-3.0, 3.0).map(repr),
+)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_malformed_config_steps_or_raises(data):
+    base = data.draw(st.sampled_from(_STEP_BASES))
+    flat = config_to_flat(base)
+    keys = data.draw(
+        st.lists(st.sampled_from(sorted(flat)), min_size=1, max_size=3, unique=True)
+    )
+    for key in keys:
+        flat[key] = data.draw(_DRAWN_TEXT, label=key)
+    text = "\n".join(f"{k} = {v!r}" if isinstance(v, float) else f"{k} = {v}"
+                     for k, v in flat.items())
+    try:
+        cfg = config_from_flat(parse_config_text(text))
+        space = build_space(cfg)
+        model = cfg.model()
+        source = MMSSource(model) if cfg.source == "mms" else None
+        step = make_stepper(cfg, space, model, source)
+        with np.errstate(all="ignore"):
+            step(initial_state(cfg, space), 0.0, cfl_dt(space, cfg.effective_mu()))
+    except DiracDGError:
+        pass
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -406,9 +447,18 @@ _FAST_MMS = RunConfig(
         (replace(FAST_1D, history_every=0), "history_every"),
         (replace(FAST_1D, nx=0), "grid.nx"),
         (replace(FAST_1D, waves=()), "ic.wave1"),
+        (replace(FAST_1D, source="mms"), "two-dimensional"),
+        (replace(FAST_1D, exact="mms"), "two-dimensional"),
+        (replace(_FAST_MMS, exact="waves"), "run.exact"),
+        (replace(FAST_1D, wave_N=-1), "ic.wave_N"),
+        (replace(FAST_1D, wave_R=-1.0), "ic.wave_R"),
+        (replace(_FAST_MMS, ic="waves", source="none", waves=(WaveSpec(S=-1),)),
+         "ic.waveN.S"),
     ],
     ids=["x-reversed", "x-empty", "2d-no-ny", "y-reversed", "history-every-0",
-         "no-cells", "no-waves"],
+         "no-cells", "no-waves", "1d-mms-source", "1d-mms-exact",
+         "exact-waves-no-wave", "negative-nodes", "negative-radius",
+         "negative-spin"],
 )
 def test_cli_rejects_degenerate_config(capsys, tmp_path, cfg, words):
     cfgfile = tmp_path / "bad.cfg"
@@ -419,8 +469,20 @@ def test_cli_rejects_degenerate_config(capsys, tmp_path, cfg, words):
 
 @pytest.mark.parametrize(
     "line,words",
-    [("run.q = 2.5", "run.q"), ("grid.nxx = 200", "grid.nxx")],
-    ids=["float-degree", "typo-key"],
+    [
+        ("run.q = 2.5", "run.q"),
+        ("grid.nxx = 200", "grid.nxx"),
+        ("run.tfinal = abc", "run.tfinal"),
+        ("ic.wave1.omega = fast", "ic.wave1.omega"),
+        ("run.snapshots = a,b", "run.snapshots"),
+        ("probe.x = 1000.0", "probe.x"),
+        ("run.exact = foo", "run.exact"),
+        ("run.mu = -3", "run.mu"),
+        ("run.mu = nan", "run.mu"),
+    ],
+    ids=["float-degree", "typo-key", "word-in-float", "word-in-wave",
+         "word-in-snapshots", "probe-outside", "unknown-exact", "negative-mu",
+         "nan-mu"],
 )
 def test_cli_rejects_config_text(capsys, tmp_path, line, words):
     cfgfile = tmp_path / "bad.cfg"
@@ -429,6 +491,59 @@ def test_cli_rejects_config_text(capsys, tmp_path, line, words):
         fh.write(line + "\n")
     assert main(["run", "--config", str(cfgfile)]) == 2
     assert words in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,words",
+    [
+        (["run", "--config", "{cfg}", "--cells", "abc"], "grid.nx"),
+        (["run", "--config", "{cfg}", "--cells", "100,200"], "grid.nx"),
+        (["converge", "--config", "{cfg}", "--cells", "10,abc"], "grid.nx"),
+        (["run", "--config", "{cfg}", "--mu", "-3"], "run.mu"),
+        (["run", "--config", "{cfg}", "--mu", "inf"], "run.mu"),
+        (["run", "--config", "{cfg}", "--full-scale"], "--full-scale"),
+        (["run", "--preset", "ex43-mms", "--omega", "0.7"], "ic.wave1"),
+        (["run", "--preset", "ex43-mms", "--v", "0.1"], "ic.wave1.v"),
+    ],
+    ids=["word-cells", "cells-list", "converge-word-cells", "negative-mu",
+         "infinite-mu", "full-scale-no-preset", "mms-omega", "mms-v"],
+)
+def test_cli_rejects_flags(capsys, tmp_path, argv, words):
+    cfgfile = tmp_path / "fast.cfg"
+    save_config(cfgfile, FAST_1D)
+    assert main([a.format(cfg=cfgfile) for a in argv]) == 2
+    assert words in capsys.readouterr().err
+
+
+def test_cli_flags_reach_the_config(tmp_path):
+    cfgfile = tmp_path / "fast.cfg"
+    save_config(cfgfile, FAST_1D)
+    args = build_parser().parse_args([
+        "run", "--config", str(cfgfile), "--mu", "0.2", "--tfinal", "0.1",
+        "--scheme", "tsdg", "--q", "3", "--cells", "30", "--omega", "0.6",
+        "--v", "0.1",
+    ])
+    assert cli._resolve_config(args) == replace(
+        FAST_1D, mu=0.2, tfinal=0.1, scheme="tsdg", q=3, nx=30,
+        waves=(WaveSpec(omega=0.6, v=0.1),),
+    )
+    args = build_parser().parse_args(["run", "--preset", "ex47-travelling",
+                                      "--cells", "12"])
+    cfg = cli._resolve_config(args)
+    assert (cfg.nx, cfg.ny) == (12, 12)
+
+
+def test_parse_config_text_types_by_field():
+    flat = parse_config_text(
+        "run.label = 42\nrun.q = 2.0\ngrid.xmin = -3\nic.wave2.S = 1\n"
+        "probe.x = 1\nrun.snapshots = 0.5,1\n"
+    )
+    assert flat == {"run.label": "42", "run.q": 2, "grid.xmin": -3.0,
+                    "ic.wave2.S": 1, "probe.x": 1.0, "run.snapshots": [0.5, 1.0]}
+    assert [type(v) for v in flat.values()] == [str, int, float, int, float, list]
+    for line in ("grid.xmin = abc", "model.kappa = inf", "model.m = true"):
+        with pytest.raises(ConfigError, match=line.split(" ")[0]):
+            parse_config_text(line)
 
 
 def test_config_from_flat_takes_integral_floats_only():
