@@ -28,13 +28,17 @@ output:
   size of its input.  `time_jet` therefore splits the point set along the
   leading cell axis (axis 1 of every jet and source array) into equal
   blocks of about `_BLOCK_POINTS` points, runs the cascade on each block
-  so its temporaries stay in cache, and writes the results into full-size
-  arrays.  A point set under one and a half blocks (1D meshes, 2D meshes
-  up to about 50^2 at P2) goes straight through without copies, and so
-  does every depth-1 call: with about fifteen temporaries it gains little
-  from cache, and the forced 80^2 P2 tsdg step measured slower blocked.
-  Every operation is pointwise, so the blocked result equals the
-  unblocked one exactly.
+  and writes the results into full-size arrays.  A block's temporaries
+  (about 30 MB) are far larger than cache; what blocking saves is the
+  full-mesh set of them, alive at once.  With the heap policy of
+  `diracdg.heap` the 200^2 P2 lwdg step measured 392-399 ms blocked
+  against 532-540 ms whole, at 369 MB peak RSS against 506 MB (2-core
+  Xeon, one BLAS thread).  A point set under one and a half blocks (1D
+  meshes, 2D meshes up to about 50^2 at P2) goes straight through without
+  copies, and so does every depth-1 call: with about fifteen temporaries
+  it gains little, and the forced 80^2 P2 tsdg step measured slower
+  blocked.  Every operation is pointwise, so the blocked result equals
+  the unblocked one exactly.
 * **Scalar zeros.** `NLDModel.g_jet` returns derivatives that vanish
   identically as the scalar 0.0 (g'' and g''' for kappa = 1, g''' for
   kappa = 2).  A product with such a coefficient is left out rather than
@@ -55,10 +59,9 @@ import numpy as np
 
 from .model import apply_alpha, apply_beta, apply_gamma, sigma3_pair
 
-# Points per cascade block, so that a block's working set stays within a
-# few MB of cache.  On a 2-core Xeon (2 MB L2 per core) the 200^2 P2 lwdg
-# step timed alike for 8k-24k points, slower from 32k points up and,
-# through per-block call overhead, below 8k.
+# Points per cascade block.  On a 2-core Xeon the 200^2 P2 lwdg step timed
+# alike for 8k-24k points, slower from 32k points up and, through
+# per-block call overhead, below 8k.
 _BLOCK_POINTS = 16384
 
 
@@ -105,7 +108,7 @@ def time_jet(space_jet, model, depth: int = 3, source=None, mttt: bool = True):
     u = space_jet["u"]
     n = u.shape[1]
     # equal blocks near _BLOCK_POINTS; rounding keeps a set under 1.5 blocks
-    # whole, where copying out the results would cost more than cache saves
+    # whole, where copying out the results would cost more than it saves
     nblocks = min(n, round(n * u[0, 0].size / _BLOCK_POINTS))
     if depth == 1 or nblocks <= 1:
         return _time_jet_block(space_jet, model, depth, source, mttt)

@@ -36,6 +36,7 @@ from .diagnostics import (
     total_energy,
 )
 from .errors import ConfigError
+from .heap import keep_freed_heap_mapped
 from .integrators import cfl_dt, default_mu, evolve, rk4_step, tvd_rk3_step
 from .lwdg import lwdg_step
 from .mesh import DGSpace1D, DGSpace2D, Grid1D, Grid2D, convergence_orders
@@ -208,6 +209,10 @@ def _validate(cfg: RunConfig):
          "two-stage scheme undefined at theta = 1"),
         (not 0.0 <= cfg.mu < math.inf,
          f"run.mu must be >= 0 and finite (0 picks the default), got {cfg.mu}"),
+        (not cfg.tfinal > 0.0, f"run.tfinal must be > 0, got {cfg.tfinal}"),
+        (any(not 0.0 <= s <= cfg.tfinal for s in cfg.snapshots),
+         f"run.snapshots = {list(cfg.snapshots)} must lie in [0, run.tfinal = "
+         f"{cfg.tfinal}]"),
         (cfg.history_every < 1,
          f"run.history_every must be >= 1, got {cfg.history_every}"),
         (not cfg.xmin < cfg.xmax,
@@ -347,6 +352,7 @@ class RunResult:
 
 def run_simulation(cfg: RunConfig, outdir=None) -> RunResult:
     _validate(cfg)
+    keep_freed_heap_mapped()
     space = build_space(cfg)
     model = cfg.model()
     source = MMSSource(model) if cfg.source == "mms" else None
@@ -360,6 +366,8 @@ def run_simulation(cfg: RunConfig, outdir=None) -> RunResult:
     probe_rows = [] if cfg.probe else None
     pending_snaps = sorted(cfg.snapshots)
     written = []
+    if outdir is not None:
+        os.makedirs(outdir, exist_ok=True)  # before the t = 0 snapshot
 
     def record(t, u):
         q = total_charge(space, u)
@@ -396,7 +404,6 @@ def run_simulation(cfg: RunConfig, outdir=None) -> RunResult:
         res.err_l2, res.err_linf = space.error_norms(u, exact)
 
     if outdir is not None:
-        os.makedirs(outdir, exist_ok=True)
         save_config(os.path.join(outdir, "config.cfg"), cfg)
         write_history(os.path.join(outdir, "history.csv"), hist)
         write_snapshot(os.path.join(outdir, "snapshot_final.txt"), space, u, t)

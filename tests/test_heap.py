@@ -1,0 +1,86 @@
+"""The glibc heap policy that `run_simulation` applies once per process."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+import diracdg
+from diracdg import heap
+
+
+def test_policy_is_applied_once(monkeypatch):
+    calls = []
+
+    def mallopt(option, value):
+        calls.append((option, value))
+        return 1
+
+    monkeypatch.setattr(heap, "_libc", lambda: SimpleNamespace(mallopt=mallopt))
+    monkeypatch.setattr(heap, "_applied", None)
+    assert heap.keep_freed_heap_mapped() is True
+    assert heap.keep_freed_heap_mapped() is True
+    assert calls == [
+        (heap.M_MMAP_THRESHOLD, heap.MMAP_THRESHOLD),
+        (heap.M_TRIM_THRESHOLD, heap.TRIM_THRESHOLD),
+    ]
+
+
+@pytest.mark.parametrize("libc", [None, object()], ids=["no-glibc", "no-mallopt"])
+def test_policy_without_mallopt_does_nothing(monkeypatch, libc):
+    monkeypatch.setattr(heap, "_libc", lambda: libc)
+    monkeypatch.setattr(heap, "_applied", None)
+    assert heap.keep_freed_heap_mapped() is False
+    assert heap.keep_freed_heap_mapped() is False
+
+
+# One forced 80^2 P2 rkdg run in a fresh interpreter, with the minor page
+# faults of each step counted around the stepper.
+_FAULTS_PER_STEP = """
+import json, resource
+from dataclasses import replace
+from diracdg import runner
+from diracdg.integrators import cfl_dt
+
+cfg = runner.RunConfig(dim=2, scheme="rkdg", q=2, xmin=-2.0, xmax=2.0, nx=80,
+                       ymin=-2.0, ymax=2.0, ny=80, ic="mms", source="mms",
+                       history_every=1000)
+dt = cfl_dt(runner.build_space(cfg), cfg.effective_mu())
+cfg = replace(cfg, tfinal=4.5 * dt)
+faults = []
+make_stepper = runner.make_stepper
+
+
+def counted(*args):
+    step = make_stepper(*args)
+
+    def wrapped(u, t, tau):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        u = step(u, t, tau)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        return u
+
+    return wrapped
+
+
+runner.make_stepper = counted
+runner.run_simulation(cfg)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(heap._libc() is None, reason="the C library is not glibc")
+def test_forced_2d_steps_take_no_page_faults():
+    src = str(Path(diracdg.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    faults = json.loads(out.stdout.splitlines()[-1])
+    assert len(faults) == 5
+    # 8.4k-11.9k per step when the freed heap top is handed back to the
+    # system; with it kept mapped only growth to a new peak faults pages in
+    assert max(faults[1:]) < 1000, faults

@@ -68,13 +68,14 @@ _wave = st.builds(
 def _configs(draw):
     dim = draw(st.sampled_from([1, 2]))
     mms = dim == 2 and draw(st.booleans())
+    tfinal = draw(st.floats(0.1, 100.0))
     return RunConfig(
         label=draw(_safe_label),
         dim=dim,
         scheme=draw(st.sampled_from(["rkdg", "lwdg", "tsdg"])),
         q=draw(st.sampled_from([1, 2, 3])),
         rk=draw(st.sampled_from(["rk4", "tvd3"])),
-        tfinal=draw(st.floats(0.1, 100.0)),
+        tfinal=tfinal,
         mu=draw(st.sampled_from([0.0, 0.25, 0.7])),
         history_every=draw(st.integers(1, 500)),
         xmin=-30.0,
@@ -95,7 +96,7 @@ def _configs(draw):
             else st.sampled_from([(), (0.0, 0.0), (-1.0, 2.5)])
         ),
         snapshots=tuple(
-            draw(st.lists(st.floats(0.01, 99.0), min_size=0, max_size=3))
+            draw(st.lists(st.floats(0.0, tfinal), min_size=0, max_size=3))
         ),
     )
 
@@ -116,7 +117,8 @@ def test_config_text_roundtrip(cfg):
 _STEP_BASES = (
     replace(FAST_1D, nx=8, wave_N=32, probe=(0.5,), snapshots=(0.1,)),
     RunConfig(label="mms", dim=2, q=1, xmin=-2.0, xmax=2.0, nx=3, ymin=-2.0,
-              ymax=2.0, ny=3, tfinal=0.05, ic="mms", source="mms"),
+              ymax=2.0, ny=3, tfinal=0.05, ic="mms", source="mms",
+              snapshots=(0.0,)),
 )
 # small integers only, so that no drawn grid.nx, grid.ny or ic.wave_N
 # allocates much
@@ -142,6 +144,8 @@ def test_malformed_config_steps_or_raises(data):
                      for k, v in flat.items())
     try:
         cfg = config_from_flat(parse_config_text(text))
+        # an accepted config takes a step and reaches every snapshot time
+        assert cfg.tfinal > 0.0 and all(0.0 <= s <= cfg.tfinal for s in cfg.snapshots)
         space = build_space(cfg)
         model = cfg.model()
         source = MMSSource(model) if cfg.source == "mms" else None
@@ -206,8 +210,9 @@ def test_unknown_preset():
 
 @pytest.fixture(scope="module")
 def fast_run(tmp_path_factory):
-    out = tmp_path_factory.mktemp("artifacts")
-    cfg = replace(FAST_1D, probe=(0.0,), snapshots=(0.15,))
+    # a directory the run makes itself, before its first snapshot
+    out = tmp_path_factory.mktemp("artifacts") / "new"
+    cfg = replace(FAST_1D, probe=(0.0,), snapshots=(0.0, 0.15))
     res = run_simulation(cfg, outdir=str(out))
     return cfg, res, out
 
@@ -479,10 +484,12 @@ def test_cli_rejects_degenerate_config(capsys, tmp_path, cfg, words):
         ("run.exact = foo", "run.exact"),
         ("run.mu = -3", "run.mu"),
         ("run.mu = nan", "run.mu"),
+        ("run.tfinal = -1.0", "run.tfinal"),
+        ("run.snapshots = 5.0", "run.snapshots"),
     ],
     ids=["float-degree", "typo-key", "word-in-float", "word-in-wave",
          "word-in-snapshots", "probe-outside", "unknown-exact", "negative-mu",
-         "nan-mu"],
+         "nan-mu", "negative-tfinal", "snapshot-after-tfinal"],
 )
 def test_cli_rejects_config_text(capsys, tmp_path, line, words):
     cfgfile = tmp_path / "bad.cfg"
