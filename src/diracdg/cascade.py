@@ -1,25 +1,31 @@
 """Pointwise time-derivative cascade for the real-form system.
 
-Time derivatives of u are traded for spatial derivatives through repeated
-use of
+Every time derivative of u is traded for spatial ones through the equation
+itself, differentiated along a canonical key k (letters sorted, so t comes
+before x and x before y; "" is no derivative):
 
-    u_t = -alpha u_x - beta u_y + M(u) + R,      M(u) = g(rho) gamma u,
+    u_tk = -alpha u_kx - beta u_ky + M_k + R_k,      M(u) = g(rho) gamma u.
 
-so that e.g. u_tt = -alpha u_tx - beta u_ty + d_t M + R_t, with the mixed
-derivatives u_tx, u_ty obtained by differentiating the same identity in
-space.  Derivatives of M follow from the product/chain rule through
-rho = <u, u> (the sigma3 pairing):
+One recurrence over the directions present in the jet ("x", or "x" and
+"y") applies it for k = "", each direction, t, each direction pair, t plus
+each direction, and tt, so that u_t, u_tt and u_ttt come out in turn (at
+depth 1 only k = "" and M_t).  M_k follows from the product and chain
+rules through rho = <u, u> (the sigma3 pairing); one first-order and one
+second-order rule serve every key:
 
-    rho_a   = 2 <u, u_a>
-    rho_ab  = 2 (<u_a, u_b> + <u, u_ab>)
+    rho_a  = 2 <u, u_a>,                    g_a  = g' rho_a
+    rho_ab = 2 (<u_a, u_b> + <u, u_ab>),    g_ab = g'' rho_a rho_b + g' rho_ab
+    M_a    = g_a gamma u + g gamma u_a
+    M_ab   = g_ab gamma u + g_a gamma u_b + g_b gamma u_a + g gamma u_ab
+
+Only M_ttt, which the one-step scheme's volume Taylor sum needs, is
+written out:
+
     rho_ttt = 2 (3 <u_t, u_tt> + <u, u_ttt>)
-    g_a     = g' rho_a
-    g_ab    = g'' rho_a rho_b + g' rho_ab
     g_ttt   = g''' rho_t^3 + 3 g'' rho_t rho_tt + g' rho_ttt
 
 All operations act on point values, so the same code serves volume
-quadrature points and cell-edge traces of every space dimension; 1D inputs
-simply omit the y-derivative keys.
+quadrature points and cell-edge traces of every space dimension.
 
 Three rules keep the cascade cheap without changing a single bit of its
 output:
@@ -55,6 +61,9 @@ property is what the finite-difference oracle in the tests checks.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import combinations_with_replacement
+
 import numpy as np
 
 from .model import apply_alpha, apply_beta, apply_gamma, sigma3_pair
@@ -63,13 +72,6 @@ from .model import apply_alpha, apply_beta, apply_gamma, sigma3_pair
 # alike for 8k-24k points, slower from 32k points up and, through
 # per-block call overhead, below 8k.
 _BLOCK_POINTS = 16384
-
-
-def _adv(two_d, jx, jy):
-    out = -apply_alpha(jx)
-    if two_d:
-        out -= apply_beta(jy)
-    return out
 
 
 def _zero(c):
@@ -130,96 +132,83 @@ def time_jet(space_jet, model, depth: int = 3, source=None, mttt: bool = True):
     return out
 
 
-def _time_jet_block(space_jet, model, depth, source, mttt):
-    two_d = "y" in space_jet
-    u = space_jet["u"]
-    ux = space_jet["x"]
-    uy = space_jet.get("y")
-    src = source or {}
+@lru_cache(maxsize=None)
+def _plan(dirs: str, depth: int):
+    """The cascade's steps for the directions `dirs` ("x" or "xy").
 
-    def s(key):
-        return src.get(key)
+    Step k forms M_k and, for len(k) < depth, u_tk; it carries the keys of
+    u_ka, one per direction a, the key of u_tk and the source key of R_k.
+    Steps run by length and, within a length, with fewer t's first, since
+    u_tk needs u_ka and the step with one t fewer forms it.
+    """
+    keys = {"t"} | {
+        "".join(c)
+        for n in range(depth)
+        for c in combinations_with_replacement("t" + dirs, n)
+    }
+    return tuple(
+        (k, tuple("".join(sorted(k + a)) for a in dirs),
+         "".join(sorted("t" + k)) if len(k) < depth else None, k or "val")
+        for k in sorted(keys, key=lambda k: (len(k), k.count("t"), k))
+    )
 
-    def plus(a, b):
-        return a if b is None else a + b
 
-    g0, g1, g2, g3 = model.g_jet(sigma3_pair(u, u), depth)
-    gu = apply_gamma(u)
-    M = g0 * gu
+class _Gamma(dict):
+    """gamma u_key on first use, kept for u, u_t and u_tt, which recur."""
 
-    ut = plus(_adv(two_d, ux, uy) + M, s("val"))
-    gut = apply_gamma(ut)
-    rho_t = 2.0 * sigma3_pair(u, ut)
-    gt = g1 * rho_t
-    Mt = gt * gu + g0 * gut
-    out = {"t": ut, "M": M, "Mt": Mt}
-    if depth == 1:
+    def __init__(self, U):
+        self.U = U
+
+    def __missing__(self, key):
+        out = apply_gamma(self.U[key])
+        if key in ("", "t", "tt"):
+            self[key] = out
         return out
 
-    uxx = space_jet["xx"]
-    uxxx = space_jet["xxx"]
-    rho_x = 2.0 * sigma3_pair(u, ux)
-    gx = g1 * rho_x
-    Mx = gx * gu + g0 * apply_gamma(ux)
-    utx = plus(_adv(two_d, uxx, space_jet.get("xy")) + Mx, s("x"))
-    if two_d:
-        uxy, uyy = space_jet["xy"], space_jet["yy"]
-        rho_y = 2.0 * sigma3_pair(u, uy)
-        gy = g1 * rho_y
-        My = gy * gu + g0 * apply_gamma(uy)
-        uty = plus(_adv(two_d, uxy, uyy) + My, s("y"))
-    else:
-        uty = None
-    utt = plus(_adv(two_d, utx, uty) + Mt, s("t"))
 
-    # second spatial derivatives of u_t, for u_ttx (and u_tty)
-    rho_xx = 2.0 * (sigma3_pair(ux, ux) + sigma3_pair(u, uxx))
-    gxx = _g_ab(g1, g2, rho_x, rho_x, rho_xx)
-    Mxx = gxx * gu + 2.0 * gx * apply_gamma(ux) + g0 * apply_gamma(uxx)
-    utxx = plus(_adv(two_d, uxxx, space_jet.get("xxy")) + Mxx, s("xx"))
-    if two_d:
-        uxxy, uxyy, uyyy = space_jet["xxy"], space_jet["xyy"], space_jet["yyy"]
-        rho_xy = 2.0 * (sigma3_pair(ux, uy) + sigma3_pair(u, uxy))
-        gxy = _g_ab(g1, g2, rho_x, rho_y, rho_xy)
-        Mxy = (
-            gxy * gu
-            + gx * apply_gamma(uy)
-            + gy * apply_gamma(ux)
-            + g0 * apply_gamma(uxy)
-        )
-        utxy = plus(_adv(two_d, uxxy, uxyy) + Mxy, s("xy"))
-        rho_yy = 2.0 * (sigma3_pair(uy, uy) + sigma3_pair(u, uyy))
-        gyy = _g_ab(g1, g2, rho_y, rho_y, rho_yy)
-        Myy = gyy * gu + 2.0 * gy * apply_gamma(uy) + g0 * apply_gamma(uyy)
-        utyy = plus(_adv(two_d, uxyy, uyyy) + Myy, s("yy"))
-    else:
-        utxy = utyy = None
+def _time_jet_block(space_jet, model, depth, source, mttt):
+    u = space_jet["u"]
+    U = {**space_jet, "": u}
+    src = source or {}
+    g0, g1, g2, g3 = model.g_jet(sigma3_pair(u, u), depth)
+    G = _Gamma(U)
+    gu = G[""]
+    rho, g, M = {}, {}, {}
+    for k, adv, tk, sk in _plan("".join(a for a in "xy" if a in space_jet), depth):
+        if not k:
+            M[k] = g0 * gu
+        elif len(k) == 1:
+            rho[k] = 2.0 * sigma3_pair(u, U[k])
+            g[k] = g1 * rho[k]
+            M[k] = g[k] * gu + g0 * G[k]
+        else:
+            a, b = k
+            rho[k] = 2.0 * (sigma3_pair(U[a], U[b]) + sigma3_pair(u, U[k]))
+            g[k] = _g_ab(g1, g2, rho[a], rho[b], rho[k])
+            if a == b:
+                M[k] = g[k] * gu + 2.0 * g[a] * G[a] + g0 * G[k]
+            else:
+                M[k] = g[k] * gu + g[a] * G[b] + g[b] * G[a] + g0 * G[k]
+        if tk is not None:
+            utk = -apply_alpha(U[adv[0]])
+            if len(adv) == 2:
+                utk -= apply_beta(U[adv[1]])
+            utk += M[k]
+            if sk in src:
+                utk += src[sk]
+            U[tk] = utk
 
-    rho_tx = 2.0 * (sigma3_pair(ut, ux) + sigma3_pair(u, utx))
-    gtx = _g_ab(g1, g2, rho_t, rho_x, rho_tx)
-    Mtx = gtx * gu + gt * apply_gamma(ux) + gx * gut + g0 * apply_gamma(utx)
-    uttx = plus(_adv(two_d, utxx, utxy) + Mtx, s("tx"))
-    if two_d:
-        rho_ty = 2.0 * (sigma3_pair(ut, uy) + sigma3_pair(u, uty))
-        gty = _g_ab(g1, g2, rho_t, rho_y, rho_ty)
-        Mty = gty * gu + gt * apply_gamma(uy) + gy * gut + g0 * apply_gamma(uty)
-        utty = plus(_adv(two_d, utxy, utyy) + Mty, s("ty"))
-    else:
-        utty = None
-
-    rho_tt = 2.0 * (sigma3_pair(ut, ut) + sigma3_pair(u, utt))
-    gtt = _g_ab(g1, g2, rho_t, rho_t, rho_tt)
-    gutt = apply_gamma(utt)
-    Mtt = gtt * gu + 2.0 * gt * gut + g0 * gutt
-    uttt = plus(_adv(two_d, uttx, utty) + Mtt, s("tt"))
-    out.update({"tt": utt, "ttt": uttt, "Mtt": Mtt})
+    out = {"t": U["t"], "M": M[""], "Mt": M["t"]}
+    if depth == 1:
+        return out
+    out.update({"tt": U["tt"], "ttt": U["ttt"], "Mtt": M["tt"]})
     if not mttt:
         return out
 
-    rho_ttt = 2.0 * (3.0 * sigma3_pair(ut, utt) + sigma3_pair(u, uttt))
-    gttt = _g_ttt(g1, g2, g3, rho_t, rho_tt, rho_ttt)
+    rho_ttt = 2.0 * (3.0 * sigma3_pair(U["t"], U["tt"]) + sigma3_pair(u, U["ttt"]))
+    gttt = _g_ttt(g1, g2, g3, rho["t"], rho["tt"], rho_ttt)
     out["Mttt"] = (
-        gttt * gu + 3.0 * gtt * gut + 3.0 * gt * gutt + g0 * apply_gamma(uttt)
+        gttt * gu + 3.0 * g["tt"] * G["t"] + 3.0 * g["t"] * G["tt"]
+        + g0 * apply_gamma(U["ttt"])
     )
     return out
-

@@ -20,6 +20,7 @@ axis)` on each cell's (low, high) edges normal to "x" (or "y" in 2D).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -62,18 +63,19 @@ _GL_TABLE = {
     ),
 }
 
-# spatial-derivative keys of the pointwise jets, by cascade depth
-JET_KEYS_1D = {1: ("u", "x"), 3: ("u", "x", "xx", "xxx")}
-JET_KEYS_2D = {
-    1: ("u", "x", "y"),
-    3: ("u", "x", "y", "xx", "xy", "yy", "xxx", "xxy", "xyy", "yyy"),
-}
-_DERIV_1D = {"u": 0, "x": 1, "xx": 2, "xxx": 3}
-_DERIV_2D = {
-    "u": (0, 0), "x": (1, 0), "y": (0, 1),
-    "xx": (2, 0), "xy": (1, 1), "yy": (0, 2),
-    "xxx": (3, 0), "xxy": (2, 1), "xyy": (1, 2), "yyy": (0, 3),
-}
+
+def _jet_keys(axes: str, depth: int):
+    """Spatial-derivative keys of the pointwise jets up to order `depth`:
+    "u" for the value, else the axes differentiated in, sorted."""
+    return tuple("".join(c) or "u" for n in range(depth + 1)
+                 for c in combinations_with_replacement(axes, n))
+
+
+JET_KEYS_1D = {d: _jet_keys("x", d) for d in (1, 3)}
+JET_KEYS_2D = {d: _jet_keys("xy", d) for d in (1, 3)}
+# derivative orders of each key: one per axis in 2D, a plain int in 1D
+_DERIV_1D = {k: k.count("x") for k in JET_KEYS_1D[3]}
+_DERIV_2D = {k: (k.count("x"), k.count("y")) for k in JET_KEYS_2D[3]}
 
 
 def gauss_rule(n: int):
@@ -310,12 +312,15 @@ class DGSpace2D:
         Xo, Yo = np.meshgrid(self.Xq, self.Yq, indexing="ij")
         self.xq = cx[:, None, None] + Xo.ravel()[None, None, :]  # (nx, 1, nq)
         self.yq = cy[None, :, None] + Yo.ravel()[None, None, :]  # (1, ny, nq)
-        # coordinates of edge quadrature points, for source evaluation
-        xi_f, yi_f = grid.xinterfaces(), grid.yinterfaces()
-        self.x_edge_x = xi_f[:, None, None]                      # (nx+1, 1, 1)
-        self.y_edge_x = cy[None, :, None] + self.Yq[None, None, :]  # (1, ny, n1)
-        self.x_edge_y = cx[:, None, None] + self.Xq[None, None, :]  # (nx, 1, n1)
-        self.y_edge_y = yi_f[None, :, None]                      # (1, ny+1, 1)
+        # (x, y) of the quadrature points on the edges normal to each axis,
+        # for source evaluation: (nx+1, 1, 1) and (1, ny, n1) on "x" edges,
+        # (nx, 1, n1) and (1, ny+1, 1) on "y" edges
+        self.edge_points = {
+            "x": (grid.xinterfaces()[:, None, None],
+                  cy[None, :, None] + self.Yq[None, None, :]),
+            "y": (cx[:, None, None] + self.Xq[None, None, :],
+                  grid.yinterfaces()[None, :, None]),
+        }
 
     def zeros(self):
         return np.zeros((4, self.grid.nx, self.grid.ny, self.nloc))

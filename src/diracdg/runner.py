@@ -416,13 +416,18 @@ def converge_study(cfg: RunConfig, cells, jobs: int = 1):
     """Errors/orders under mesh refinement; needs an exact solution."""
     if cfg.exact_kind() == "none":
         raise ConfigError("convergence study needs a computable exact solution")
+    if len(cells) < 2:
+        raise ConfigError(f"convergence study needs two or more mesh levels: {cells}")
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     configs = [
         replace(cfg, nx=int(n), ny=int(n) if cfg.dim == 2 else cfg.ny) for n in cells
     ]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a forking pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
             pairs = list(pool.map(_errors_of, configs))
     else:
         pairs = [_errors_of(c) for c in configs]

@@ -26,8 +26,7 @@ direct solve stalls.  Profiles decay like exp(-sqrt(m^2-omega^2) r).
 The collocated p and w are a Chebyshev series in s = 2 r / R - 1.  Each
 profile converts its node values to series coefficients once (a DCT-I),
 and every field evaluation sums both series together with Clenshaw's
-recurrence: O(N) per point with no division.  Barycentric interpolation
-is kept only to recover the r = 0 values of legacy profile files.
+recurrence: O(N) per point with no division.
 
 The bottom of the module provides the forced polynomial-in-time Gaussian
 manufactured solution used by the 2D accuracy studies, together with the
@@ -58,13 +57,6 @@ def cheb_nodes_matrix(n: int):
     D = np.outer(c, 1.0 / c) / (dx + np.eye(n + 1))
     D -= np.diag(D.sum(axis=1))
     return D, x
-
-
-def _bary_weights(n: int):
-    w = (-1.0) ** np.arange(n + 1)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
 
 
 def _cheb_coeffs(vals):
@@ -99,25 +91,6 @@ def _clenshaw(coef, s, chunk: int = 8192):
             b1, b2, t = t, b1, b2
         out[:, lo : lo + chunk] = coef[:, :1] + x * b1 - b2
     return out.reshape((rows,) + np.shape(s))
-
-
-def _bary_eval(nodes, wts, vals, x, chunk: int = 8192):
-    """Barycentric interpolation; exact at the nodes, chunked for memory."""
-    xf = np.asarray(x, dtype=float).ravel()
-    out = np.empty_like(xf)
-    for lo in range(0, xf.size, chunk):
-        xs = xf[lo : lo + chunk]
-        diff = xs[:, None] - nodes[None, :]
-        hit = diff == 0.0
-        diff[hit] = 1.0
-        c = wts / diff
-        num = c @ vals
-        den = c.sum(axis=1)
-        res = num / den
-        rows, cols = np.nonzero(hit)
-        res[rows] = vals[cols]
-        out[lo : lo + chunk] = res
-    return out.reshape(np.shape(x))
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +153,7 @@ class WaveProfile:
 
     p and w hold the values on the nodes r (r[0] = R, r[-1] = 0).  The
     Chebyshev coefficients of both are computed once, at construction, and
-    `phi_chi` sums them by Clenshaw's recurrence; barycentric interpolation
-    serves only `load_profile`, for legacy files without the r = 0 values.
+    `phi_chi` sums them by Clenshaw's recurrence.
     """
 
     dim: int
@@ -416,6 +388,10 @@ def save_profile(path, profile: WaveProfile):
             fh.write(f"{ri:.18e} {fi:.18e} {ci:.18e}\n")
 
 
+_PROFILE_KEYS = ("omega", "S", "kappa", "lam", "m", "R", "N", "dim", "residual",
+                 "p0", "w0")
+
+
 def load_profile(path) -> WaveProfile:
     meta = {}
     rows = []
@@ -430,34 +406,24 @@ def load_profile(path) -> WaveProfile:
                     meta[key.strip()] = val.strip()
                 continue
             rows.append([float(tok) for tok in line.split()])
+    for key in _PROFILE_KEYS:
+        if key not in meta:
+            raise ConfigError(f"profile file {path} has no {key!r} header line")
     data = np.array(rows)
     r, phi, chi = data[:, 0], data[:, 1], data[:, 2]
     S = int(meta["S"])
-    N = int(meta["N"])
     model = NLDModel(m=float(meta["m"]), lam=float(meta["lam"]),
                      kappa=float(meta["kappa"]))
-    # r[-1] = 0: the stored columns are r^S p and r^{S+1} w, so prefactor
-    # values there are 0/0 whenever the exponent is positive and must be
-    # recovered by interpolation from the other nodes.  Dropping the r = 0
-    # node changes the barycentric weights by the factor (r_j - 0); the
-    # full-set weights cannot simply be truncated.
+    # r[-1] = 0: the stored columns are r^S p and r^{S+1} w, so the
+    # prefactor values there are 0/0 and come from the header instead
     rr = np.where(r > 0.0, r, 1.0)
     p = np.where(r > 0.0, phi / rr**S, 0.0)
     w = np.where(r > 0.0, chi / rr ** (S + 1), 0.0)
-    bsub = _bary_weights(N)[:-1] * r[:-1]
-    if "p0" in meta:
-        p[-1] = float(meta["p0"])
-    elif S == 0:
-        p[-1] = phi[-1]
-    else:
-        p[-1] = _bary_eval(r[:-1], bsub, p[:-1], np.zeros(1))[0]
-    if "w0" in meta:
-        w[-1] = float(meta["w0"])
-    else:
-        w[-1] = _bary_eval(r[:-1], bsub, w[:-1], np.zeros(1))[0]
+    p[-1] = float(meta["p0"])
+    w[-1] = float(meta["w0"])
     return WaveProfile(
         int(meta["dim"]), S, float(meta["omega"]), model, float(meta["R"]),
-        N, r, p, w, float(meta["residual"]),
+        int(meta["N"]), r, p, w, float(meta["residual"]),
     )
 
 
@@ -615,6 +581,4 @@ class MMSSource:
         return self.jet(space.xq, space.yq, t, depth=depth)
 
     def edge_jet(self, space, t, axis: str, depth: int = 3):
-        if axis == "x":
-            return self.jet(space.x_edge_x, space.y_edge_x, t, depth=depth)
-        return self.jet(space.x_edge_y, space.y_edge_y, t, depth=depth)
+        return self.jet(*space.edge_points[axis], t, depth=depth)

@@ -72,7 +72,7 @@ def _analytic_time_derivatives(x, y, t):
     }
 
 
-@pytest.mark.parametrize("kappa", [1.0, 2.0])
+@pytest.mark.parametrize("kappa", [1.0, 2.0, 3.0])
 def test_time_jet_reproduces_mms_derivatives(kappa):
     model = NLDModel(kappa=kappa)
     src = MMSSource(model)
@@ -105,6 +105,25 @@ def test_time_jet_against_sixth_order_fd():
     for key, w in (("t", w1), ("tt", w2), ("ttt", w3)):
         fd = np.tensordot(w, us, axes=(0, 0))
         np.testing.assert_allclose(tj[key], fd, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 2.0, 3.0])
+def test_m_derivatives_against_sixth_order_fd(kappa):
+    """M_t, M_tt and M_ttt against finite differences in t of M(u(t)) on
+    the manufactured field; kappa = 3 reaches a nonzero g'''."""
+    model = NLDModel(kappa=kappa)
+    x, y = (v.ravel() for v in np.meshgrid(*2 * [np.linspace(-0.4, 0.4, 9)]))
+    t, h = 0.95, 0.01
+    tj = time_jet(mms_space_jet(x, y, t), model, depth=3,
+                  source=MMSSource(model).jet(x, y, t, depth=3))
+    ms = np.array([model.nonlinear_term(mms_state(x, y, t + k * h))
+                   for k in range(-3, 4)])
+    w1 = np.array([-1, 9, -45, 0, 45, -9, 1]) / (60.0 * h)
+    w2 = np.array([2, -27, 270, -490, 270, -27, 2]) / (180.0 * h * h)
+    w3 = np.array([1, -8, 13, 0, -13, 8, -1]) / (8.0 * h**3)
+    for key, w in (("Mt", w1), ("Mtt", w2), ("Mttt", w3)):
+        fd = np.tensordot(w, ms, axes=(0, 0))
+        assert np.abs(tj[key] - fd).max() <= 3e-4 * np.abs(fd).max(), key
 
 
 def test_time_jet_depth1_is_a_prefix():

@@ -341,6 +341,44 @@ def test_converge_study_needs_exact():
         converge_study(cfg, [20, 40])
 
 
+def test_converge_study_checks_levels_and_jobs_before_running(monkeypatch):
+    def no_run(cfg):
+        raise AssertionError("a level ran")
+
+    monkeypatch.setattr(runner, "_errors_of", no_run)
+    cfg = replace(FAST_1D, nx=0)
+    for cells, jobs, words in (([40], 1, "two or more"), ([], 1, "two or more"),
+                               ([20, 40], 0, "--jobs"), ([20, 40], -2, "--jobs")):
+        with pytest.raises(ConfigError, match=words):
+            converge_study(cfg, cells, jobs=jobs)
+
+
+def test_converge_study_pool_has_one_worker_per_level(monkeypatch):
+    import concurrent.futures
+
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(runner, "_errors_of", lambda cfg: (1.0 / cfg.nx, 2.0 / cfg.nx))
+    study = converge_study(replace(FAST_1D, nx=0), [20, 40, 80], jobs=64)
+    assert seen == [3]
+    assert study["l2"] == [1 / 20, 1 / 40, 1 / 80]
+    assert study["orders"] == [1.0, 1.0]
+
+
 # --------------------------------------------------------------------------
 # command line
 
@@ -506,13 +544,17 @@ def test_cli_rejects_config_text(capsys, tmp_path, line, words):
         (["run", "--config", "{cfg}", "--cells", "abc"], "grid.nx"),
         (["run", "--config", "{cfg}", "--cells", "100,200"], "grid.nx"),
         (["converge", "--config", "{cfg}", "--cells", "10,abc"], "grid.nx"),
+        (["converge", "--config", "{cfg}", "--cells", "40"], "two or more"),
+        (["converge", "--config", "{cfg}", "--cells", "20,40", "--jobs", "0"],
+         "--jobs"),
         (["run", "--config", "{cfg}", "--mu", "-3"], "run.mu"),
         (["run", "--config", "{cfg}", "--mu", "inf"], "run.mu"),
         (["run", "--config", "{cfg}", "--full-scale"], "--full-scale"),
         (["run", "--preset", "ex43-mms", "--omega", "0.7"], "ic.wave1"),
         (["run", "--preset", "ex43-mms", "--v", "0.1"], "ic.wave1.v"),
     ],
-    ids=["word-cells", "cells-list", "converge-word-cells", "negative-mu",
+    ids=["word-cells", "cells-list", "converge-word-cells", "converge-one-level",
+         "converge-no-jobs", "negative-mu",
          "infinite-mu", "full-scale-no-preset", "mms-omega", "mms-v"],
 )
 def test_cli_rejects_flags(capsys, tmp_path, argv, words):

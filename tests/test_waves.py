@@ -19,8 +19,6 @@ from diracdg.errors import ConfigError
 from diracdg.model import NLDModel
 from diracdg.waves import (
     MMSSource,
-    _bary_eval,
-    _bary_weights,
     decay_rate,
     load_profile,
     mms_space_jet,
@@ -134,6 +132,26 @@ def test_resolution_insensitivity():
     b = solve_standing_wave(0.8, dim=1, N=256)
     x = np.linspace(0.0, 20.0, 300)
     assert np.abs(a.phi(x) - b.phi(x)).max() < 1e-10
+
+
+def _bary_weights(n: int):
+    w = (-1.0) ** np.arange(n + 1)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
+def _bary_eval(nodes, wts, vals, x):
+    """Barycentric interpolation through (nodes, vals); exact at the nodes."""
+    x = np.asarray(x, dtype=float)
+    diff = x[:, None] - nodes[None, :]
+    hit = diff == 0.0
+    diff[hit] = 1.0
+    c = wts / diff
+    res = (c @ vals) / c.sum(axis=1)
+    rows, cols = np.nonzero(hit)
+    res[rows] = vals[cols]
+    return res
 
 
 def _bary_reference(prof, r):
@@ -258,15 +276,14 @@ def test_profile_roundtrip_evaluates_identically(tmp_path, S):
     tol = 1e-14 * np.abs(prof.phi(r)).max()
     for a, b in zip(load_profile(path).phi_chi(r), prof.phi_chi(r)):
         np.testing.assert_allclose(a, b, rtol=0, atol=tol)
-    # a legacy file lacks the exact r = 0 values; they are recovered by
-    # barycentric interpolation from the other nodes, and the stored series
-    # still sums to that interpolant
+    # a file without the exact r = 0 values, or any other header line, is
+    # refused by name
     lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(ln for ln in lines
-                            if not ln.startswith(("# p0", "# w0"))))
-    legacy = load_profile(path)
-    for a, b in zip(legacy.phi_chi(r), _bary_reference(legacy, r)):
-        np.testing.assert_allclose(a, b, rtol=0, atol=10 * tol)
+    for key in ("p0", "w0", "omega"):
+        path.write_text("".join(ln for ln in lines
+                                if not ln.startswith(f"# {key} =")))
+        with pytest.raises(ConfigError, match=repr(key)):
+            load_profile(path)
 
 
 # --------------------------------------------------------------------------
