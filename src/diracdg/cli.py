@@ -30,7 +30,6 @@ from .errors import (
 from .model import NLDModel
 from .runner import (
     RunConfig,
-    _typed,
     config_from_flat,
     config_to_flat,
     converge_study,
@@ -138,7 +137,7 @@ def cmd_run(args) -> int:
 def cmd_converge(args) -> int:
     cfg = _resolve_config(args)
     if args.cells:
-        cells = [_typed("grid.nx", tok) for tok in args.cells.split(",")]
+        cells = args.cells.split(",")
     else:
         cells = [20, 40, 80] if cfg.dim == 2 else [100, 200, 400]
     study = converge_study(cfg, cells, jobs=args.jobs)
@@ -152,7 +151,8 @@ def cmd_converge(args) -> int:
         with open(path, "w") as fh:
             fh.write("cells,l2,linf,order\n")
             orders = [float("nan")] + study["orders"]
-            for n, e2, ei, od in zip(cells, study["l2"], study["linf"], orders):
+            rows = zip(study["cells"], study["l2"], study["linf"], orders)
+            for n, e2, ei, od in rows:
                 fh.write(f"{n},{e2:.10e},{ei:.10e},{od:.4f}\n")
         print(f"wrote {path}")
     return 0

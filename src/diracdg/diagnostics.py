@@ -38,7 +38,7 @@ def probe_charge_density(space, coeffs, *point) -> float:
 
 def order_table(cells, errors, label: str = "L2 error") -> str:
     """Plain-text refinement table: cells, error, observed order."""
-    orders = [float("nan")] + list(convergence_orders(errors))
+    orders = [float("nan")] + list(convergence_orders(errors, cells))
     lines = [f"{'cells':>8}  {label:>12}  {'order':>6}"]
     for n, e, o in zip(cells, errors, orders):
         otxt = "  --- " if np.isnan(o) else f"{o:6.2f}"

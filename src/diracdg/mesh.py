@@ -373,9 +373,11 @@ class DGSpace2D:
         return np.sqrt(self.integrate(diff**2)), float(np.max(np.abs(diff)))
 
 
-def convergence_orders(errors):
-    """log2 ratios of successive errors under mesh doubling."""
+def convergence_orders(errors, cells):
+    """Observed orders between successive levels, log(e_i / e_{i+1}) /
+    log(n_{i+1} / n_i) for the errors e_i on n_i cells per axis."""
     if len(errors) < 2:
         raise InsufficientLevels("need at least two refinement levels")
     e = np.asarray(errors, dtype=float)
-    return np.log2(e[:-1] / e[1:])
+    n = np.asarray(cells, dtype=float)
+    return np.log2(e[:-1] / e[1:]) / np.log2(n[1:] / n[:-1])

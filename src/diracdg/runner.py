@@ -198,6 +198,10 @@ def _validate(cfg: RunConfig):
     for bad, msg in (
         ("mms" in (cfg.ic, cfg.source, cfg.exact) and cfg.dim != 2,
          "the manufactured problem is two-dimensional"),
+        ("mms" in (cfg.ic, cfg.source)
+         and not (float(cfg.kappa).is_integer() and cfg.kappa >= 0.0),
+         f"the manufactured problem needs an integer model.kappa >= 0, got "
+         f"{cfg.kappa}"),
         (cfg.ic == "mms" and cfg.waves,
          "ic.type = mms takes no ic.waveN entries (--omega and --v set ic.wave1)"),
         (cfg.exact == "waves" and not cfg.waves,
@@ -416,12 +420,15 @@ def converge_study(cfg: RunConfig, cells, jobs: int = 1):
     """Errors/orders under mesh refinement; needs an exact solution."""
     if cfg.exact_kind() == "none":
         raise ConfigError("convergence study needs a computable exact solution")
+    cells = [_typed("grid.nx", n) for n in cells]
     if len(cells) < 2:
         raise ConfigError(f"convergence study needs two or more mesh levels: {cells}")
+    if len(set(cells)) < len(cells) or min(cells) < 1:
+        raise ConfigError(f"mesh levels must be distinct and >= 1: {cells}")
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     configs = [
-        replace(cfg, nx=int(n), ny=int(n) if cfg.dim == 2 else cfg.ny) for n in cells
+        replace(cfg, nx=n, ny=n if cfg.dim == 2 else cfg.ny) for n in cells
     ]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -433,8 +440,8 @@ def converge_study(cfg: RunConfig, cells, jobs: int = 1):
         pairs = [_errors_of(c) for c in configs]
     l2 = [p[0] for p in pairs]
     linf = [p[1] for p in pairs]
-    orders = list(convergence_orders(l2))
-    return {"cells": list(cells), "l2": l2, "linf": linf, "orders": orders}
+    orders = list(convergence_orders(l2, cells))
+    return {"cells": cells, "l2": l2, "linf": linf, "orders": orders}
 
 
 def _errors_of(cfg: RunConfig):

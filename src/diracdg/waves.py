@@ -28,18 +28,26 @@ profile converts its node values to series coefficients once (a DCT-I),
 and every field evaluation sums both series together with Clenshaw's
 recurrence: O(N) per point with no division.
 
-The bottom of the module provides the forced polynomial-in-time Gaussian
-manufactured solution used by the 2D accuracy studies, together with the
-full derivative jet of its source term that the one-step schemes consume.
+The bottom of the module provides the forced manufactured solution of the
+2D accuracy studies, psi = (c1, c2) phi with phi = t^4 exp(-5(x^2+y^2)),
+together with the derivative jet of its source term that the one-step
+schemes consume.  Its nonlinear part is closed form: the density is
+(c1^2 - c2^2) phi^2, so for an integer kappa >= 0 the term g(rho) phi is
+m phi + c_p phi^p with p = 2 kappa + 1, and phi^p = t^(4p) exp(-5p(x^2+y^2))
+is again a power of t times a Gaussian, whose every derivative is a falling
+factorial in t times Hermite-type polynomials in x and y.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
-from .errors import ConfigError, NoConvergence
+from .errors import ConfigError, DomainError, NoConvergence
+from .mesh import JET_KEYS_2D
 from .model import NLDModel, complex_to_real
 
 
@@ -221,6 +229,11 @@ def solve_standing_wave(
         raise ConfigError(f"dim must be 1 or 2, got {dim}")
     if dim == 1 and S != 0:
         raise ConfigError("angular index S only applies in 2D")
+    for bad, msg in ((S < 0, f"angular index S must be >= 0, got {S}"),
+                     (N < 2, f"need N >= 2 collocation nodes, got {N}"),
+                     (R is not None and not R > 0.0, f"radius R must be > 0, got {R}")):
+        if bad:
+            raise ConfigError(msg)
     R = float(R) if R is not None else (40.0 if dim == 1 else 30.0)
     D, xi = cheb_nodes_matrix(N)
     r = 0.5 * R * (1.0 + xi)  # r[0] = R, r[-1] = 0
@@ -434,58 +447,50 @@ MMS_C1 = 1.0
 MMS_C2 = 2.0
 _MMS_SIG = MMS_C1**2 - MMS_C2**2  # the density is SIG * phi^2 (negative)
 
-
-def _hfac(k: int, z):
-    """exp(-5 z^2) satisfies d^k/dz^k E = h_k(z) E with these factors."""
-    if k == 0:
-        return np.ones_like(z)
-    if k == 1:
-        return -10.0 * z
-    if k == 2:
-        return 100.0 * z * z - 10.0
-    if k == 3:
-        return -1000.0 * z**3 + 300.0 * z
-    raise ValueError(f"h-factor order {k}")
+# d^k/dz^k exp(-s z^2) = h_k(z; s) exp(-s z^2)
+_HERMITE = (
+    lambda z, s: 1.0,
+    lambda z, s: -2.0 * s * z,
+    lambda z, s: 4.0 * s * s * z * z - 2.0 * s,
+    lambda z, s: -8.0 * s**3 * z**3 + 12.0 * s * s * z,
+)
 
 
-def _tfac(k: int, t: float) -> float:
-    return (t**4, 4.0 * t**3, 12.0 * t * t, 24.0 * t, 24.0)[k]
+def _power_jet(x, y, t, p: int, E=None):
+    """(a, b, c) -> d_x^a d_y^b d_t^c phi^p for an integer p >= 1 and
+    a, b <= 3, where phi^p = t^(4p) E^p and E = exp(-5(x^2+y^2)) (pass E to
+    share it between powers).  E^p is taken by repeated multiplication, and
+    each derivative is formed once, when first asked for."""
+    if E is None:
+        E = np.exp(-5.0 * (x * x + y * y))
+    Ep = E
+    for _ in range(p - 1):
+        Ep = Ep * E
+    n, s = 4 * p, 5.0 * p
+
+    @cache
+    def d(a: int, b: int, c: int):
+        # d^c/dt^c t^n = n (n-1) ... (n-c+1) t^(n-c)
+        return (math.perm(n, c) * t ** (n - c) * _HERMITE[a](x, s)
+                * _HERMITE[b](y, s) * Ep)
+
+    return d
 
 
-class _PhiJet:
-    """All partial derivatives of phi = t^4 exp(-5(x^2+y^2)) on demand."""
-
-    def __init__(self, x, y, t, order: int = 3):
-        """Spatial derivatives up to `order` in each variable are available."""
-        self.E = np.exp(-5.0 * (x * x + y * y))
-        self.hx = [_hfac(k, x) for k in range(order + 1)]
-        self.hy = [_hfac(k, y) for k in range(order + 1)]
-        self.t = t
-
-    def __call__(self, a: int, b: int, c: int):
-        return _tfac(c, self.t) * self.hx[a] * self.hy[b] * self.E
+def _mms_field(f):
+    z = np.zeros_like(f)
+    return np.stack([MMS_C1 * f, MMS_C2 * f, z, z])
 
 
 def mms_state(x, y, t):
     """Exact real-form field (c1 phi, c2 phi, 0, 0)."""
-    phi = _PhiJet(x, y, t)(0, 0, 0)
-    z = np.zeros_like(phi)
-    return np.stack([MMS_C1 * phi, MMS_C2 * phi, z, z])
+    return _mms_field(_power_jet(x, y, t, 1)(0, 0, 0))
 
 
 def mms_space_jet(x, y, t):
     """Exact spatial jet of the manufactured field (for cascade checks)."""
-    d = _PhiJet(x, y, t)
-    keys = {
-        "u": (0, 0), "x": (1, 0), "y": (0, 1), "xx": (2, 0), "xy": (1, 1),
-        "yy": (0, 2), "xxx": (3, 0), "xxy": (2, 1), "xyy": (1, 2), "yyy": (0, 3),
-    }
-    out = {}
-    for k, (a, b) in keys.items():
-        f = d(a, b, 0)
-        z = np.zeros_like(f)
-        out[k] = np.stack([MMS_C1 * f, MMS_C2 * f, z, z])
-    return out
+    phi = _power_jet(x, y, t, 1)
+    return {k: _mms_field(phi(k.count("x"), k.count("y"), 0)) for k in JET_KEYS_2D[3]}
 
 
 def _mms_assemble(ft, fx, fy, G):
@@ -498,6 +503,11 @@ def _mms_assemble(ft, fx, fy, G):
     ])
 
 
+# the source keys in the order the depths add them: the value at depth 0,
+# "t" at depth 1 and the rest at depth 3
+_MMS_KEYS = ("val", "t", "x", "y", "xx", "xy", "yy", "tx", "ty", "tt", "ttt")
+
+
 class MMSSource:
     """Derivative jet of the forcing that makes the Gaussian field exact.
 
@@ -508,70 +518,38 @@ class MMSSource:
         R = ( c1 f_t + c2 f_x,  c2 f_t + c1 f_x,
              -c2 f_y + c1 (g f), c1 f_y - c2 (g f) )
 
-    applied to every requested derivative of (phi, g phi).
+    applied to every requested derivative of (phi, g phi).  The density is
+    sig phi^2 with sig = c1^2 - c2^2, so for an integer kappa >= 0
+
+        g(sig phi^2) phi = m phi + c_p phi^p,
+        p = 2 kappa + 1,   c_p = -(kappa + 1) lam sig^kappa,
+
+    and phi^p = t^(4p) exp(-5p (x^2+y^2)) is again a power of t times a
+    Gaussian, so each derivative d_x^a d_y^b d_t^c phi^p is the c-th
+    derivative of t^(4p) times h_a(x; 5p) h_b(y; 5p) exp(-5p (x^2+y^2)).
     """
 
     def __init__(self, model: NLDModel):
+        kappa = float(model.kappa)
+        if not (kappa.is_integer() and kappa >= 0.0):
+            raise DomainError(
+                f"the manufactured source needs an integer kappa >= 0, got {kappa}")
         self.model = model
+        self.p = 2 * int(kappa) + 1
+        self.cp = -(kappa + 1.0) * model.lam * _MMS_SIG ** int(kappa)
 
     def jet(self, x, y, t, depth: int = 3):
         """Source derivatives at the points (x, y): depth 0 gives only
         'val', depth 1 adds 't', depth 3 every key `cascade.time_jet` and
         `lwdg.taylor_state` read."""
-        d = _PhiJet(x, y, t, order=3 if depth > 1 else 1)
-        phi = d(0, 0, 0)
-        pt, px, py = d(0, 0, 1), d(1, 0, 0), d(0, 1, 0)
-        s = _MMS_SIG * phi * phi
-        g0, g1, g2, g3 = self.model.g_jet(s, 3 if depth > 1 else depth)
-
-        G0 = g0 * phi
-        out = {"val": _mms_assemble(pt, px, py, G0)}
-        if depth == 0:
-            return out
-        st = 2.0 * _MMS_SIG * phi * pt
-        gt = g1 * st
-        ptt, ptx, pty = d(0, 0, 2), d(1, 0, 1), d(0, 1, 1)
-        Gt = gt * phi + g0 * pt
-        out["t"] = _mms_assemble(ptt, ptx, pty, Gt)
-        if depth == 1:
-            return out
-
-        pxx, pxy, pyy = d(2, 0, 0), d(1, 1, 0), d(0, 2, 0)
-        sx = 2.0 * _MMS_SIG * phi * px
-        sy = 2.0 * _MMS_SIG * phi * py
-        gx, gy = g1 * sx, g1 * sy
-        Gx = gx * phi + g0 * px
-        Gy = gy * phi + g0 * py
-        out["x"] = _mms_assemble(ptx, pxx, pxy, Gx)
-        out["y"] = _mms_assemble(pty, pxy, pyy, Gy)
-
-        sab = lambda pa, pb, pab: 2.0 * _MMS_SIG * (pa * pb + phi * pab)
-        gab = lambda sa, sb, s_ab: g2 * sa * sb + g1 * s_ab
-        ptxx, ptxy, ptyy = d(2, 0, 1), d(1, 1, 1), d(0, 2, 1)
-        pttx, ptty, pttt = d(1, 0, 2), d(0, 1, 2), d(0, 0, 3)
-        pxxx, pxxy, pxyy, pyyy = d(3, 0, 0), d(2, 1, 0), d(1, 2, 0), d(0, 3, 0)
-
-        sxx, sxy, syy = sab(px, px, pxx), sab(px, py, pxy), sab(py, py, pyy)
-        stx, sty, stt = sab(pt, px, ptx), sab(pt, py, pty), sab(pt, pt, ptt)
-        gxx, gxy, gyy = gab(sx, sx, sxx), gab(sx, sy, sxy), gab(sy, sy, syy)
-        gtx, gty, gtt = gab(st, sx, stx), gab(st, sy, sty), gab(st, st, stt)
-        Gxx = gxx * phi + 2.0 * gx * px + g0 * pxx
-        Gxy = gxy * phi + gx * py + gy * px + g0 * pxy
-        Gyy = gyy * phi + 2.0 * gy * py + g0 * pyy
-        Gtx = gtx * phi + gt * px + gx * pt + g0 * ptx
-        Gty = gty * phi + gt * py + gy * pt + g0 * pty
-        Gtt = gtt * phi + 2.0 * gt * pt + g0 * ptt
-        out["xx"] = _mms_assemble(ptxx, pxxx, pxxy, Gxx)
-        out["xy"] = _mms_assemble(ptxy, pxxy, pxyy, Gxy)
-        out["yy"] = _mms_assemble(ptyy, pxyy, pyyy, Gyy)
-        out["tx"] = _mms_assemble(pttx, ptxx, ptxy, Gtx)
-        out["ty"] = _mms_assemble(ptty, ptxy, ptyy, Gty)
-        out["tt"] = _mms_assemble(pttt, pttx, ptty, Gtt)
-
-        sttt = 2.0 * _MMS_SIG * (3.0 * pt * ptt + phi * pttt)
-        gttt = g3 * st**3 + 3.0 * g2 * st * stt + g1 * sttt
-        Gttt = gttt * phi + 3.0 * gtt * pt + 3.0 * gt * ptt + g0 * pttt
-        out["ttt"] = _mms_assemble(d(0, 0, 4), d(1, 0, 3), d(0, 1, 3), Gttt)
+        E = np.exp(-5.0 * (x * x + y * y))
+        phi, phip = _power_jet(x, y, t, 1, E), _power_jet(x, y, t, self.p, E)
+        out = {}
+        for key in _MMS_KEYS[: depth + 1] if depth < 2 else _MMS_KEYS:
+            a, b, c = (key.count(axis) for axis in "xyt")  # none in "val"
+            G = self.model.m * phi(a, b, c) + self.cp * phip(a, b, c)
+            out[key] = _mms_assemble(phi(a, b, c + 1), phi(a + 1, b, c),
+                                     phi(a, b + 1, c), G)
         return out
 
     def values(self, space, t):

@@ -173,7 +173,7 @@ def test_projection_error_decays_off_quadrature():
         f = lambda x: np.stack([np.sin(x), np.cos(x), 0 * x, 0 * x])
         dev = sp.point_values(sp.project(f), xs) - f(xs)
         errs.append(np.abs(dev).max())
-    orders = convergence_orders(errs)
+    orders = convergence_orders(errs, (8, 16, 32))
     assert orders.min() > 2.8
 
 
@@ -253,5 +253,8 @@ def test_2d_integrate():
 
 def test_convergence_orders_guard():
     with pytest.raises(InsufficientLevels):
-        convergence_orders([1.0])
-    np.testing.assert_allclose(convergence_orders([4.0, 1.0]), [2.0])
+        convergence_orders([1.0], [10])
+    np.testing.assert_allclose(convergence_orders([4.0, 1.0], [10, 20]), [2.0])
+    # the order is measured against the ratio of the levels, whatever it is
+    np.testing.assert_allclose(convergence_orders([27.0, 1.0], [30, 90]), [3.0])
+    np.testing.assert_allclose(convergence_orders([1.0, 8.0], [60, 30]), [3.0])

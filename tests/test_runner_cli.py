@@ -348,7 +348,10 @@ def test_converge_study_checks_levels_and_jobs_before_running(monkeypatch):
     monkeypatch.setattr(runner, "_errors_of", no_run)
     cfg = replace(FAST_1D, nx=0)
     for cells, jobs, words in (([40], 1, "two or more"), ([], 1, "two or more"),
-                               ([20, 40], 0, "--jobs"), ([20, 40], -2, "--jobs")):
+                               ([20, 40], 0, "--jobs"), ([20, 40], -2, "--jobs"),
+                               ([40, 40], 1, "distinct"), ([20, 40, 20], 1, "distinct"),
+                               ([0, 20], 1, ">= 1"), ([20, 40.5], 1, "grid.nx"),
+                               ([20, "abc"], 1, "grid.nx")):
         with pytest.raises(ConfigError, match=words):
             converge_study(cfg, cells, jobs=jobs)
 
@@ -379,6 +382,15 @@ def test_converge_study_pool_has_one_worker_per_level(monkeypatch):
     assert study["orders"] == [1.0, 1.0]
 
 
+def test_converge_study_orders_follow_the_ladder(monkeypatch):
+    # errors C n^-3 have order 3 on any ladder, rising or falling
+    monkeypatch.setattr(runner, "_errors_of", lambda cfg: (cfg.nx**-3.0, 0.0))
+    for cells in ([30, 90], [60, 30], ["20", 50.0, 80]):
+        study = converge_study(replace(FAST_1D, nx=0), cells)
+        assert study["cells"] == [int(n) for n in cells]
+        np.testing.assert_allclose(study["orders"], 3.0, rtol=1e-12)
+
+
 # --------------------------------------------------------------------------
 # command line
 
@@ -404,6 +416,24 @@ def test_cli_wave(capsys, tmp_path):
 def test_cli_wave_bad_frequency(capsys):
     assert main(["wave", "--omega", "1.5"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,words",
+    [
+        (["--N", "-3"], "N >= 2"),
+        (["--N", "0"], "N >= 2"),
+        (["--N", "1"], "N >= 2"),
+        (["--R", "-5"], "R must be > 0"),
+        (["--R", "0"], "R must be > 0"),
+        (["--dim", "2", "--spin", "-1"], "S must be >= 0"),
+    ],
+    ids=["negative-nodes", "no-nodes", "one-node", "negative-radius", "zero-radius",
+         "negative-spin"],
+)
+def test_cli_wave_rejects_bad_input(capsys, argv, words):
+    assert main(["wave", "--omega", "0.8"] + argv) == 2
+    assert words in capsys.readouterr().err
 
 
 def test_cli_run_needs_source(capsys):
@@ -497,11 +527,16 @@ _FAST_MMS = RunConfig(
         (replace(FAST_1D, wave_R=-1.0), "ic.wave_R"),
         (replace(_FAST_MMS, ic="waves", source="none", waves=(WaveSpec(S=-1),)),
          "ic.waveN.S"),
+        (replace(_FAST_MMS, kappa=1.5), "model.kappa"),
+        (replace(_FAST_MMS, ic="waves", waves=(WaveSpec(omega=0.8),), kappa=2.5),
+         "model.kappa"),
+        (replace(_FAST_MMS, kappa=-1.0), "model.kappa"),
     ],
     ids=["x-reversed", "x-empty", "2d-no-ny", "y-reversed", "history-every-0",
          "no-cells", "no-waves", "1d-mms-source", "1d-mms-exact",
          "exact-waves-no-wave", "negative-nodes", "negative-radius",
-         "negative-spin"],
+         "negative-spin", "mms-fractional-kappa", "mms-source-fractional-kappa",
+         "mms-negative-kappa"],
 )
 def test_cli_rejects_degenerate_config(capsys, tmp_path, cfg, words):
     cfgfile = tmp_path / "bad.cfg"
@@ -547,6 +582,7 @@ def test_cli_rejects_config_text(capsys, tmp_path, line, words):
         (["converge", "--config", "{cfg}", "--cells", "40"], "two or more"),
         (["converge", "--config", "{cfg}", "--cells", "20,40", "--jobs", "0"],
          "--jobs"),
+        (["converge", "--config", "{cfg}", "--cells", "40,40"], "distinct"),
         (["run", "--config", "{cfg}", "--mu", "-3"], "run.mu"),
         (["run", "--config", "{cfg}", "--mu", "inf"], "run.mu"),
         (["run", "--config", "{cfg}", "--full-scale"], "--full-scale"),
@@ -554,7 +590,7 @@ def test_cli_rejects_config_text(capsys, tmp_path, line, words):
         (["run", "--preset", "ex43-mms", "--v", "0.1"], "ic.wave1.v"),
     ],
     ids=["word-cells", "cells-list", "converge-word-cells", "converge-one-level",
-         "converge-no-jobs", "negative-mu",
+         "converge-no-jobs", "converge-repeated-level", "negative-mu",
          "infinite-mu", "full-scale-no-preset", "mms-omega", "mms-v"],
 )
 def test_cli_rejects_flags(capsys, tmp_path, argv, words):

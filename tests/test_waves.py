@@ -15,7 +15,7 @@ values from this solver (regression guards, quoted to 7 digits).
 import numpy as np
 import pytest
 
-from diracdg.errors import ConfigError
+from diracdg.errors import ConfigError, DomainError
 from diracdg.model import NLDModel
 from diracdg.waves import (
     MMSSource,
@@ -322,6 +322,31 @@ def test_mms_source_values_equal_the_jet_value(kappa):
         want = src.jet(space.xq, space.yq, t, depth=1)["val"]
         np.testing.assert_array_equal(src.values(space, t), want)
         assert sorted(src.jet(space.xq, space.yq, t, depth=0)) == ["val"]
+
+
+@pytest.mark.parametrize("kappa", [1.0, 2.0, 3.0])
+def test_mms_jet_depths_agree_bit_for_bit(kappa):
+    # rkdg reads depth 0, tsdg depth 1 and lwdg depth 3 of the same source
+    from diracdg.mesh import DGSpace2D, Grid2D
+
+    space = DGSpace2D(Grid2D(-2.0, 2.0, 7, -1.5, 2.5, 5), 2)
+    src = MMSSource(NLDModel(kappa=kappa))
+    for points in ((space.xq, space.yq), space.edge_points["x"]):
+        for t in (0.35, 1.7):
+            deep = src.jet(*points, t, depth=3)
+            assert list(deep) == ["val", "t", "x", "y", "xx", "xy", "yy",
+                                  "tx", "ty", "tt", "ttt"]
+            for depth in (0, 1):
+                shallow = src.jet(*points, t, depth=depth)
+                assert list(shallow) == list(deep)[: depth + 1]
+                for key, val in shallow.items():
+                    assert val.tobytes() == deep[key].tobytes(), (depth, key)
+
+
+def test_mms_source_needs_an_integer_kappa():
+    for kappa in (1.5, -1.0):
+        with pytest.raises(DomainError, match="integer kappa"):
+            MMSSource(NLDModel(kappa=kappa))
 
 
 @pytest.mark.parametrize("kappa", [1.0, 2.0])
