@@ -11,7 +11,7 @@ the cheapest per step of the three.
 
 from __future__ import annotations
 
-from .errors import Unsupported
+from .errors import ConfigError, Unsupported
 
 # (scheme, q) -> kind -> (a, b, c) with count = ((a*Gp + b)*J + c) * nsteps
 _TABLE = {
@@ -47,6 +47,8 @@ def op_count(scheme: str, q: int, kind: str, j: int, nsteps: int = 1,
         raise Unsupported(f"no operation counts for scheme={scheme}, q={q}")
     if kind not in KINDS:
         raise Unsupported(f"unknown operation kind {kind!r}")
+    if j < 1 or nsteps < 1:
+        raise ConfigError(f"need J >= 1 cells and >= 1 steps, got {j} and {nsteps}")
     a, b, c = _TABLE[key][kind]
     gp = q + 1 if gp is None else gp
     return ((a * gp + b) * j + c) * nsteps

@@ -33,12 +33,9 @@ def tvd_rk3_step(u, t, tau, L):
 
 
 def cfl_dt(space, mu: float) -> float:
-    """Stable step tau = mu h / (2q+1) in 1D, mu min(hx,hy) / (2(2q+1)) in 2D."""
-    q = space.q
-    if space.dim == 1:
-        return mu * space.grid.dx / (2 * q + 1)
-    h = min(space.grid.dx, space.grid.dy)
-    return mu * h / (2 * (2 * q + 1))
+    """Stable step tau = mu min h / (dim (2q+1)), h the cell widths."""
+    h = min(h for _, h, _ in space.grid.axes)
+    return mu * h / (space.dim * (2 * space.q + 1))
 
 
 def default_mu(dim: int, q: int, scheme: str) -> float:

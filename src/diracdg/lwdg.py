@@ -56,7 +56,7 @@ def lwdg_step(space, model, coeffs, t, tau, source=None):
     svol = source.volume_jet(space, t, depth=3) if source is not None else None
     w, G = taylor_state(vjet, model, tau, svol)
     vol = sum(table_dot(d.flux(w), d.table) for d in dirs)
-    vol += table_dot(G, space.volw[(0, 0)])
+    vol += table_dot(G, space.volw["u"])
 
     edge = 0.0
     for d in dirs:

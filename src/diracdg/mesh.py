@@ -5,22 +5,32 @@ The local basis on a 1D cell with center x_j and width h is, in X = x - x_j,
     v0 = 1,  v1 = X,  v2 = X^2 - h^2/12,  v3 = X^3 - (3 h^2 / 20) X,
 
 so the element mass matrix is diagonal: diag(h, h^3/12, h^5/180, h^7/2800).
-2D cells use the tensor products v_a(X) v_b(Y) with total degree a + b <= q,
-ordered (0,0), (1,0), (0,1), (2,0), (1,1), (0,2), (3,0), (2,1), (1,2), (0,3).
+A cell uses the tensor products v_a(X) v_b(Y) ... over the grid's axes with
+total degree <= q, ordered by degree and then by the earlier axes' exponents
+first: (0,0), (1,0), (0,1), (2,0), (1,1), (0,2), (3,0), (2,1), (1,2), (0,3)
+in 2D.  A 1D cell is the same construction with one axis.
 
 Every integral in the suite (projection, residuals, error norms) uses the
 same (q+1)-point Gauss-Legendre rule per axis; the nodes and weights are
 hardcoded below to keep results bit-reproducible across platforms.
 
-Both spaces give the schemes `mass`, `eval`/`volume_jet`, the weighted tables
-`volw[(i, j)]` of the (i, j)-th derivative and `edge_values`/`edge_jets(coeffs,
-axis)` on each cell's (low, high) edges normal to "x" (or "y" in 2D).
+One construction over `grid.axes` gives both spaces `mass`, the quadrature
+`points` and `edge_points[axis]`, and basis tables keyed by jet key ("u",
+"x", "xy", ...): `vol[key]` at the volume points, `edge[axis][key]` on each
+cell's (low, high) edges normal to `axis`, and the weight-scaled `volw[key]`
+(value and first derivatives) and `edgew[axis]` (values).  `DGSpace1D` and
+`DGSpace2D` keep only `eval`, whose signature names the derivative orders,
+and `edge_jets`/`edge_values`, whose contractions differ: both ends of a 1D
+cell come from one `table_dot`, a 2D edge side from one `table_dot` each,
+and perfbench's traced run pins how many `table_dot` calls a step makes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from functools import reduce
+from itertools import combinations_with_replacement, product
+from operator import mul
 
 import numpy as np
 
@@ -71,11 +81,7 @@ def _jet_keys(axes: str, depth: int):
                  for c in combinations_with_replacement(axes, n))
 
 
-JET_KEYS_1D = {d: _jet_keys("x", d) for d in (1, 3)}
 JET_KEYS_2D = {d: _jet_keys("xy", d) for d in (1, 3)}
-# derivative orders of each key: one per axis in 2D, a plain int in 1D
-_DERIV_1D = {k: k.count("x") for k in JET_KEYS_1D[3]}
-_DERIV_2D = {k: (k.count("x"), k.count("y")) for k in JET_KEYS_2D[3]}
 
 
 def gauss_rule(n: int):
@@ -112,14 +118,11 @@ def basis_table(X, h: float, q: int, order: int = 0):
     return np.stack(cols[: q + 1], axis=-1)
 
 
-def tensor_orders(q: int):
-    """(a, b) exponent pairs of the 2D basis, graded-lexicographic."""
-    return [(a, d - a) for d in range(q + 1) for a in range(d, -1, -1)]
-
-
-def _check_degree(q: int):
-    if q not in (1, 2, 3):
-        raise Unsupported(f"polynomial degree q={q} (supported: 1, 2, 3)")
+def tensor_orders(q: int, naxes: int):
+    """Exponent tuples of the tensor basis of total degree <= q over `naxes`
+    axes, by degree and then with the earlier axes' exponents first."""
+    return sorted((e for e in product(range(q + 1), repeat=naxes) if sum(e) <= q),
+                  key=lambda e: (sum(e), [-a for a in e]))
 
 
 @dataclass(frozen=True)
@@ -132,11 +135,10 @@ class Grid1D:
     def dx(self) -> float:
         return (self.xmax - self.xmin) / self.nx
 
-    def centers(self):
-        return self.xmin + (np.arange(self.nx) + 0.5) * self.dx
-
-    def interfaces(self):
-        return self.xmin + np.arange(self.nx + 1) * self.dx
+    @property
+    def axes(self):
+        """(low end, cell width, cells) of each axis."""
+        return ((self.xmin, self.dx, self.nx),)
 
 
 @dataclass(frozen=True)
@@ -156,17 +158,9 @@ class Grid2D:
     def dy(self) -> float:
         return (self.ymax - self.ymin) / self.ny
 
-    def xcenters(self):
-        return self.xmin + (np.arange(self.nx) + 0.5) * self.dx
-
-    def ycenters(self):
-        return self.ymin + (np.arange(self.ny) + 0.5) * self.dy
-
-    def xinterfaces(self):
-        return self.xmin + np.arange(self.nx + 1) * self.dx
-
-    def yinterfaces(self):
-        return self.ymin + np.arange(self.ny + 1) * self.dy
+    @property
+    def axes(self):
+        return ((self.xmin, self.dx, self.nx), (self.ymin, self.dy, self.ny))
 
 
 def table_dot(values, table):
@@ -178,199 +172,171 @@ def table_dot(values, table):
     return flat.reshape(lead + (table.shape[1],))
 
 
-class DGSpace1D:
-    """Degree-q discontinuous space on a Grid1D.
+def _outer(factors):
+    """Product of one (orders, nloc, points) factor per axis: outer over the
+    orders and over the points, elementwise over the basis functions.  The
+    result is C-contiguous, shaped (*orders, nloc, *points)."""
+    n = len(factors)
 
-    Coefficient arrays have shape (4, nx, q+1); the component axis comes
-    first so the constant matrices of the model apply along axis 0.
+    def spread(j, f):  # f's orders and its points, each at the j-th of n places
+        k, nloc, p = f.shape
+        left, right = (1,) * j, (1,) * (n - 1 - j)
+        return f.reshape(left + (k,) + right + (nloc,) + left + (p,) + right)
+
+    return reduce(mul, (spread(j, f) for j, f in enumerate(factors)))
+
+
+def _points(cells, offsets):
+    """Per axis, the coordinate of every point, shaped (*cells, points):
+    each cell's coordinate on that axis plus the point offsets, the points
+    in C order over the axes."""
+    n = len(cells)
+    grids = np.meshgrid(*offsets, indexing="ij")
+    return tuple(c.reshape((1,) * j + (-1,) + (1,) * (n - j)) + g.ravel()
+                 for j, (c, g) in enumerate(zip(cells, grids)))
+
+
+class _TensorSpace:
+    """Degree-q discontinuous space on the tensor basis over `grid.axes`.
+
+    Coefficient arrays have shape (4, *cells, nloc); the component axis
+    comes first so the constant matrices of the model apply along axis 0.
+    Volume quadrature points are in C order over the axes: k = kx (q+1) + ky
+    in 2D.
     """
 
-    dim = 1
+    def __init__(self, grid, q: int):
+        if q not in (1, 2, 3):
+            raise Unsupported(f"polynomial degree q={q} (supported: 1, 2, 3)")
+        self.grid, self.q = grid, q
+        self.dim = len(grid.axes)
+        self.names = "xy"[: self.dim]
+        self.cells = tuple(n for _, _, n in grid.axes)
+        self.orders = tensor_orders(q, self.dim)
+        self.nloc = len(self.orders)
+        self.nq = (q + 1) ** self.dim
+        self.jet_keys = {d: _jet_keys(self.names, d) for d in (1, 3)}
+        self._exps = [np.array(e) for e in zip(*self.orders)]  # per axis
+        xi, wt = gauss_rule(q + 1)
+        hs = [h for _, h, _ in grid.axes]
+        X = [0.5 * h * xi for h in hs]  # offsets from the cell centre
+        self.axis_w = [0.5 * h * wt for h in hs]  # weights including the jacobian
+        ends = [np.array([-0.5 * h, 0.5 * h]) for h in hs]
 
-    def __init__(self, grid: Grid1D, q: int):
-        _check_degree(q)
-        self.grid = grid
-        self.q = q
-        self.nloc = q + 1
-        self.nq = q + 1
-        h = grid.dx
-        xi, wt = gauss_rule(self.nq)
-        self.Xq = 0.5 * h * xi  # offsets from the cell center
-        self.wq = 0.5 * h * wt  # weights including the jacobian
-        # basis/derivative tables at volume quadrature points: (order, nq, nloc)
-        self.phi = np.stack([basis_table(self.Xq, h, q, d) for d in range(4)])
-        # traces at the two cell ends (side 0: -h/2, side 1: +h/2)
-        ends = np.array([-0.5 * h, 0.5 * h])
-        self.tr = np.stack([basis_table(ends, h, q, d) for d in range(4)])
-        self.mass = mass_diag(h, q)
-        self.xq = grid.centers()[:, None] + self.Xq[None, :]  # (nx, nq)
-        # weight-scaled value and x-derivative tables, keyed like 2D volw
-        self.volw = {(d, 0): self.wq[:, None] * self.phi[d] for d in (0, 1)}
+        def basis(pts):  # per axis, the basis and its derivatives: (4, nloc, points)
+            return [np.stack([basis_table(p, h, 3, d)[:, e].T for d in range(4)])
+                    for p, h, e in zip(pts, hs, self._exps)]
+
+        at_pts, at_ends = basis(X), basis(ends)
+
+        def tables(i=None):  # at the volume points, or on edges normal to axis i
+            axes = sorted(range(self.dim), key=lambda j: j != i)  # sides outermost
+            full = _outer([(at_ends if j == i else at_pts)[j] for j in axes])
+            return {k: full[tuple(k.count(self.names[j]) for j in axes)]
+                    .transpose(*range(1, self.dim + 1), 0) for k in self.jet_keys[3]}
+
+        # vol[key]: (nq, nloc); edge[axis][key]: (2, *edge points, nloc),
+        # side 0 on the low edge.  All are basis-major, so t.T and each
+        # t[side].T are C-contiguous: a table's layout picks the BLAS kernel,
+        # and so the rounding of its contractions.
+        self.vol = {k: t.reshape(self.nq, self.nloc) for k, t in tables().items()}
+        self.edge = {a: tables(i) for i, a in enumerate(self.names)}
+        self.mass = np.prod([mass_diag(h, 3)[e] for h, e in zip(hs, self._exps)], 0)
+
+        # weight-scaled tables for single-matmul projections of volume and
+        # edge integrands, laid out like the tables they scale
+        self.w = reduce(np.multiply.outer, self.axis_w).ravel()
+        self.volw = {k: self.w[:, None] * self.vol[k] for k in self.jet_keys[1]}
+        along = [self.axis_w[:i] + self.axis_w[i + 1:] for i in range(self.dim)]
+        self.edgew = {a: reduce(np.multiply.outer, along[i], np.ones(()))[..., None]
+                      * self.edge[a]["u"] for i, a in enumerate(self.names)}
+
+        self.centres = [lo + (np.arange(n) + 0.5) * h for lo, h, n in grid.axes]
+        faces = [lo + np.arange(n + 1) * h for lo, h, n in grid.axes]
+        self.points = _points(self.centres, X)
+        # the points on the edges normal to each axis, for source evaluation
+        self.edge_points = {
+            a: _points([faces[i] if j == i else c for j, c in enumerate(self.centres)],
+                       [np.zeros(1) if j == i else x for j, x in enumerate(X)])
+            for i, a in enumerate(self.names)}
 
     def zeros(self):
-        return np.zeros((4, self.grid.nx, self.nloc))
+        return np.zeros((4, *self.cells, self.nloc))
 
     def project(self, fn):
-        """L2 projection of fn(x) -> (4, ...) onto the DG space."""
-        vals = np.asarray(fn(self.xq))
-        return table_dot(vals, self.volw[(0, 0)]) / self.mass
+        """L2 projection of fn(x [, y]) -> (4, ...) onto the DG space."""
+        shape = (4, *self.cells, self.nq)
+        vals = np.broadcast_to(np.asarray(fn(*self.points)), shape)
+        return table_dot(vals, self.volw["u"]) / self.mass
+
+    def volume_jet(self, coeffs, depth: int = 3):
+        return {k: self.eval(coeffs, *map(k.count, self.names))
+                for k in self.jet_keys[depth]}
+
+    def point_values(self, coeffs, *coords):
+        """Evaluate the broken polynomial at arbitrary points (one-sided on
+        cell interfaces: the cell above the interface is used)."""
+        cells, tab = [], np.ones(())
+        for x, (lo, h, n), e in zip(coords, self.grid.axes, self._exps):
+            x = np.atleast_1d(np.asarray(x, dtype=float))
+            j = np.clip(((x - lo) / h).astype(int), 0, n - 1)
+            tab = tab * basis_table(x - (lo + (j + 0.5) * h), h, 3, 0)[:, e]
+            cells.append(j)
+        return np.einsum("cpl,pl->cp", coeffs[(slice(None), *cells)], tab)
+
+    def integrate(self, values):
+        """Sum of cell integrals of pointwise values at volume quad points."""
+        return float(np.sum(values * self.w))
+
+    def error_norms(self, coeffs, exact_fn):
+        """(L2, max) norms of the error at the volume quadrature points,
+        from one evaluation of exact_fn(x [, y])."""
+        diff = self.eval(coeffs) - np.asarray(exact_fn(*self.points))
+        return np.sqrt(self.integrate(diff**2)), float(np.max(np.abs(diff)))
+
+
+# Per dimension: eval's signature and the edge contractions, whose count perfbench pins.
+class DGSpace1D(_TensorSpace):
+    """Degree-q discontinuous space on a Grid1D: coefficients (4, nx, q+1)."""
 
     def eval(self, coeffs, order: int = 0):
         """Point values of the order-th x-derivative at volume quad points."""
-        return table_dot(coeffs, self.phi[order].T)
-
-    def volume_jet(self, coeffs, depth: int = 3):
-        return {k: self.eval(coeffs, _DERIV_1D[k]) for k in JET_KEYS_1D[depth]}
+        return table_dot(coeffs, self.vol["x" * order or "u"].T)
 
     def edge_jets(self, coeffs, axis: str, depth: int = 3):
         """Jets at each cell's (low, high) end (`axis` is "x"), each (4, nx)."""
         lo, hi = {}, {}
-        for key in JET_KEYS_1D[depth]:
-            t = table_dot(coeffs, self.tr[_DERIV_1D[key]].T)
+        for key in self.jet_keys[depth]:
+            t = table_dot(coeffs, self.edge[axis][key].T)
             lo[key], hi[key] = t[..., 0], t[..., 1]
         return lo, hi
 
     def edge_values(self, coeffs, axis: str):
         """Plain (low, high) end values of u, each (4, nx)."""
-        t = table_dot(coeffs, self.tr[0].T)
+        t = table_dot(coeffs, self.edge[axis]["u"].T)
         return t[..., 0], t[..., 1]
 
-    def point_values(self, coeffs, x):
-        """Evaluate the broken polynomial at arbitrary points (one-sided on
-        cell interfaces: the cell to the right of the interface is used)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        g = self.grid
-        j = np.clip(((x - g.xmin) / g.dx).astype(int), 0, g.nx - 1)
-        X = x - (g.xmin + (j + 0.5) * g.dx)
-        tab = basis_table(X, g.dx, self.q, 0)  # (npts, nloc)
-        return np.einsum("cpl,pl->cp", coeffs[:, j, :], tab)
 
-    def integrate(self, values):
-        """Sum of cell integrals of pointwise values at volume quad points."""
-        return float(np.sum(values * self.wq))
-
-    def error_norms(self, coeffs, exact_fn):
-        """(L2, max) norms of the error at the volume quadrature points,
-        from one evaluation of exact_fn(x)."""
-        diff = self.eval(coeffs) - np.asarray(exact_fn(self.xq))
-        return np.sqrt(self.integrate(diff**2)), float(np.max(np.abs(diff)))
-
-
-class DGSpace2D:
-    """Degree-q discontinuous space on a Grid2D (tensor basis, total degree).
-
-    Coefficients: (4, nx, ny, nloc) with nloc = (q+1)(q+2)/2.  Volume
-    quadrature points are indexed k = kx * (q+1) + ky.
-    """
-
-    dim = 2
-
-    def __init__(self, grid: Grid2D, q: int):
-        _check_degree(q)
-        self.grid = grid
-        self.q = q
-        self.orders = tensor_orders(q)
-        self.nloc = len(self.orders)
-        n1 = q + 1
-        self.nq = n1 * n1
-        xi, wt = gauss_rule(n1)
-        hx, hy = grid.dx, grid.dy
-        self.Xq = 0.5 * hx * xi
-        self.Yq = 0.5 * hy * xi
-        self.wxq = 0.5 * hx * wt
-        self.wyq = 0.5 * hy * wt
-        self.w2 = np.outer(self.wxq, self.wyq).ravel()
-
-        a_idx = np.array([a for a, _ in self.orders])
-        b_idx = np.array([b for _, b in self.orders])
-        self._a_idx, self._b_idx = a_idx, b_idx
-        px = [basis_table(self.Xq, hx, 3, d) for d in range(4)]  # (n1, 4)
-        py = [basis_table(self.Yq, hy, 3, d) for d in range(4)]
-        ex = [basis_table(np.array([-0.5 * hx, 0.5 * hx]), hx, 3, d) for d in range(4)]
-        ey = [basis_table(np.array([-0.5 * hy, 0.5 * hy]), hy, 3, d) for d in range(4)]
-
-        # vol[(i, j)]: (nq, nloc); edge[axis][(i, j)]: (2, n1, nloc), side 0
-        # on the low edge, with the quadrature points along the edge
-        self.vol, self.edge = {}, {"x": {}, "y": {}}
-        for i in range(4):
-            for j in range(4 - i):
-                vt = px[i][:, None, a_idx] * py[j][None, :, b_idx]
-                self.vol[(i, j)] = vt.reshape(self.nq, self.nloc)
-                self.edge["x"][(i, j)] = ex[i][:, None, a_idx] * py[j][None, :, b_idx]
-                self.edge["y"][(i, j)] = px[i][None, :, a_idx] * ey[j][:, None, b_idx]
-        self.mass = mass_diag(hx, 3)[a_idx] * mass_diag(hy, 3)[b_idx]
-
-        # weight-scaled tables for single-matmul projections of volume and
-        # edge integrands
-        self.volw = {k: self.w2[:, None] * t for k, t in self.vol.items()}
-        self.edgew = {
-            "x": self.wyq[None, :, None] * self.edge["x"][(0, 0)],
-            "y": self.wxq[None, :, None] * self.edge["y"][(0, 0)],
-        }
-
-        cx, cy = grid.xcenters(), grid.ycenters()
-        Xo, Yo = np.meshgrid(self.Xq, self.Yq, indexing="ij")
-        self.xq = cx[:, None, None] + Xo.ravel()[None, None, :]  # (nx, 1, nq)
-        self.yq = cy[None, :, None] + Yo.ravel()[None, None, :]  # (1, ny, nq)
-        # (x, y) of the quadrature points on the edges normal to each axis,
-        # for source evaluation: (nx+1, 1, 1) and (1, ny, n1) on "x" edges,
-        # (nx, 1, n1) and (1, ny+1, 1) on "y" edges
-        self.edge_points = {
-            "x": (grid.xinterfaces()[:, None, None],
-                  cy[None, :, None] + self.Yq[None, None, :]),
-            "y": (cx[:, None, None] + self.Xq[None, None, :],
-                  grid.yinterfaces()[None, :, None]),
-        }
-
-    def zeros(self):
-        return np.zeros((4, self.grid.nx, self.grid.ny, self.nloc))
-
-    def project(self, fn):
-        shape = (4, self.grid.nx, self.grid.ny, self.nq)
-        vals = np.broadcast_to(np.asarray(fn(self.xq, self.yq)), shape)
-        return table_dot(vals, self.volw[(0, 0)]) / self.mass
+class DGSpace2D(_TensorSpace):
+    """Degree-q discontinuous space on a Grid2D: coefficients (4, nx, ny,
+    nloc) with nloc = (q+1)(q+2)/2."""
 
     def eval(self, coeffs, dx: int = 0, dy: int = 0):
-        return table_dot(coeffs, self.vol[(dx, dy)].T)
-
-    def volume_jet(self, coeffs, depth: int = 3):
-        return {k: self.eval(coeffs, *_DERIV_2D[k]) for k in JET_KEYS_2D[depth]}
+        return table_dot(coeffs, self.vol["x" * dx + "y" * dy or "u"].T)
 
     def edge_jets(self, coeffs, axis: str, depth: int = 3):
         """Jets on each cell's (low, high) edges normal to `axis`."""
-        tabs = self.edge[axis]
         lo, hi = {}, {}
-        for key in JET_KEYS_2D[depth]:
-            t = tabs[_DERIV_2D[key]]
+        for key in self.jet_keys[depth]:
+            t = self.edge[axis][key]
             lo[key] = table_dot(coeffs, t[0].T)
             hi[key] = table_dot(coeffs, t[1].T)
         return lo, hi
 
     def edge_values(self, coeffs, axis: str):
         """Plain traces of u on the edges normal to `axis` (both sides)."""
-        t = self.edge[axis][(0, 0)]
+        t = self.edge[axis]["u"]
         return table_dot(coeffs, t[0].T), table_dot(coeffs, t[1].T)
-
-    def point_values(self, coeffs, x, y):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        g = self.grid
-        jx = np.clip(((x - g.xmin) / g.dx).astype(int), 0, g.nx - 1)
-        jy = np.clip(((y - g.ymin) / g.dy).astype(int), 0, g.ny - 1)
-        X = x - (g.xmin + (jx + 0.5) * g.dx)
-        Y = y - (g.ymin + (jy + 0.5) * g.dy)
-        tx = basis_table(X, g.dx, 3, 0)[:, self._a_idx]
-        ty = basis_table(Y, g.dy, 3, 0)[:, self._b_idx]
-        return np.einsum("cpl,pl->cp", coeffs[:, jx, jy, :], tx * ty)
-
-    def integrate(self, values):
-        return float(np.sum(values * self.w2))
-
-    def error_norms(self, coeffs, exact_fn):
-        """(L2, max) norms of the error at the volume quadrature points,
-        from one evaluation of exact_fn(x, y)."""
-        diff = self.eval(coeffs) - np.asarray(exact_fn(self.xq, self.yq))
-        return np.sqrt(self.integrate(diff**2)), float(np.max(np.abs(diff)))
 
 
 def convergence_orders(errors, cells):

@@ -470,27 +470,14 @@ def write_probe(path, probe):
 
 
 def write_snapshot(path, space, coeffs, t):
-    """Columnar dump of the field at cell centers: x [y] u1..u4 rhoQ."""
+    """Columnar dump of the field at cell centers, x-major: x [y] u1..u4 rhoQ."""
+    pts = [c.ravel() for c in np.meshgrid(*space.centres, indexing="ij")]
+    vals = space.point_values(coeffs, *pts)
     with open(path, "w") as fh:
         fh.write(f"# t = {t!r}\n")
-        if space.dim == 1:
-            fh.write("# columns: x u1 u2 u3 u4 rhoQ\n")
-            x = space.grid.centers()
-            vals = space.point_values(coeffs, x)
-            dens = charge_density(vals)
-            for i in range(x.size):
-                comps = " ".join(f"{vals[c, i]:.12e}" for c in range(4))
-                fh.write(f"{x[i]:.12e} {comps} {dens[i]:.12e}\n")
-        else:
-            fh.write("# columns: x y u1 u2 u3 u4 rhoQ\n")
-            cx, cy = space.grid.xcenters(), space.grid.ycenters()
-            X, Y = np.meshgrid(cx, cy, indexing="ij")
-            xf, yf = X.ravel(), Y.ravel()
-            vals = space.point_values(coeffs, xf, yf)
-            dens = charge_density(vals)
-            for i in range(xf.size):
-                comps = " ".join(f"{vals[c, i]:.12e}" for c in range(4))
-                fh.write(f"{xf[i]:.12e} {yf[i]:.12e} {comps} {dens[i]:.12e}\n")
+        fh.write(f"# columns: {' '.join(space.names)} u1 u2 u3 u4 rhoQ\n")
+        np.savetxt(fh, np.column_stack([*pts, vals.T, charge_density(vals)]),
+                   fmt="%.12e")
 
 
 def read_history(path):

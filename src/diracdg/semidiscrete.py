@@ -65,7 +65,8 @@ def _sides(v, axis: int):
 def edge_term_1d(space, fhat):
     """Per-cell boundary contribution sum_e Fhat.n v_l from interface fluxes."""
     lo_f, hi_f = _sides(fhat, 1)
-    return hi_f[..., None] * space.tr[0, 1] - lo_f[..., None] * space.tr[0, 0]
+    tab = space.edgew["x"]
+    return hi_f[..., None] * tab[1] - lo_f[..., None] * tab[0]
 
 
 def edge_term_2d(space, fhat, axis: str):
@@ -81,12 +82,12 @@ def axes(space):
     """Per direction: name, cell axis, flux, weighted volume table, edge term;
     the edge terms resolve `edge_term_1d`/`_2d` when called, so rebinds show."""
     if space.dim == 1:
-        return (Direction("x", 1, apply_alpha, space.volw[(1, 0)],
+        return (Direction("x", 1, apply_alpha, space.volw["x"],
                           lambda fhat: edge_term_1d(space, fhat)),)
     return (
-        Direction("x", 1, apply_alpha, space.volw[(1, 0)],
+        Direction("x", 1, apply_alpha, space.volw["x"],
                   lambda fhat: edge_term_2d(space, fhat, "x")),
-        Direction("y", 2, apply_beta, space.volw[(0, 1)],
+        Direction("y", 2, apply_beta, space.volw["y"],
                   lambda fhat: edge_term_2d(space, fhat, "y")),
     )
 
@@ -111,7 +112,7 @@ def rkdg_residual(space, model, coeffs, t: float = 0.0, source=None):
     mv = model.nonlinear_term(uv)
     if source is not None:
         mv = mv + source.values(space, t)
-    vol += table_dot(mv, space.volw[(0, 0)])
+    vol += table_dot(mv, space.volw["u"])
 
     edge = 0.0
     for d in dirs:

@@ -57,7 +57,7 @@ def _sweep(space, model, coeffs, t, source, want_first):
 
     mt = tj["Mt"] if svol is None else tj["Mt"] + svol["t"]
     ihat = sum(table_dot(d.flux(tj["t"]), d.table) for d in dirs)
-    ihat += table_dot(mt, space.volw[(0, 0)])
+    ihat += table_dot(mt, space.volw["u"])
     jumps = []
     for d in dirs:
         lo, hi = space.edge_jets(coeffs, d.name, depth=1)
@@ -73,7 +73,7 @@ def _sweep(space, model, coeffs, t, source, want_first):
         return None, ihat
     mv = tj["M"] if svol is None else tj["M"] + svol["val"]
     i_full = sum(table_dot(d.flux(vjet["u"]), d.table) for d in dirs)
-    i_full += table_dot(mv, space.volw[(0, 0)])
+    i_full += table_dot(mv, space.volw["u"])
     for d, um, up in jumps:
         i_full = i_full - d.edge_term(lf_flux(d.flux, um, up, um, up))
     return i_full, ihat

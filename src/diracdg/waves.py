@@ -202,6 +202,11 @@ class WaveProfile:
         return float(np.sqrt(self.model.m**2 - self.omega**2))
 
 
+# largest |Chebyshev coefficient| of p and w over the last tenth of the series,
+# relative to the largest: every profile the presets solve stays below 1e-6
+_TAIL_TOL = 1e-5
+
+
 def _continuation_ladder(omega: float, anchor: float = 0.8):
     if omega < anchor:
         oms = list(np.arange(anchor, omega, -0.1))
@@ -231,7 +236,8 @@ def solve_standing_wave(
         raise ConfigError("angular index S only applies in 2D")
     for bad, msg in ((S < 0, f"angular index S must be >= 0, got {S}"),
                      (N < 2, f"need N >= 2 collocation nodes, got {N}"),
-                     (R is not None and not R > 0.0, f"radius R must be > 0, got {R}")):
+                     (R is not None and not 0.0 < R < np.inf,
+                      f"radius R must be > 0 and finite, got {R}")):
         if bad:
             raise ConfigError(msg)
     R = float(R) if R is not None else (40.0 if dim == 1 else 30.0)
@@ -274,7 +280,15 @@ def solve_standing_wave(
                 p = None
         if p is None:
             raise failure
-    return WaveProfile(dim, S, float(omega), model, R, N, r, p, w, res)
+    prof = WaveProfile(dim, S, float(omega), model, R, N, r, p, w, res)
+    # the collocated residual vanishes at any N; the series' tail shows
+    # whether N nodes resolve the profile on [0, R]
+    c = np.abs(prof._coef)
+    tail = c[:, -((N + 10) // 10):].max() / c.max()  # last tenth of N+1 terms
+    if tail > _TAIL_TOL:
+        raise ConfigError(f"N = {N} nodes do not resolve the profile on "
+                          f"[0, R = {R:g}]: Chebyshev tail {tail:.1e} > {_TAIL_TOL:g}")
+    return prof
 
 
 def wave_ode_residual(profile: WaveProfile) -> float:
@@ -553,10 +567,10 @@ class MMSSource:
         return out
 
     def values(self, space, t):
-        return self.jet(space.xq, space.yq, t, depth=0)["val"]
+        return self.jet(*space.points, t, depth=0)["val"]
 
     def volume_jet(self, space, t, depth: int = 3):
-        return self.jet(space.xq, space.yq, t, depth=depth)
+        return self.jet(*space.points, t, depth=depth)
 
     def edge_jet(self, space, t, axis: str, depth: int = 3):
         return self.jet(*space.edge_points[axis], t, depth=depth)

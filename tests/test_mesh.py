@@ -105,11 +105,13 @@ def test_basis_derivative_tables():
 
 
 def test_tensor_orders_graded():
-    orders = tensor_orders(3)
+    orders = tensor_orders(3, 2)
     assert orders[:3] == [(0, 0), (1, 0), (0, 1)]
     assert len(orders) == 10
     degs = [a + b for a, b in orders]
     assert degs == sorted(degs)
+    # one rule for any number of axes: a 1D cell is the one-axis case
+    assert tensor_orders(3, 1) == [(0,), (1,), (2,), (3,)]
 
 
 def test_table_dot_matches_einsum():
@@ -133,7 +135,7 @@ def test_projection_reproduces_polynomials(q):
         return np.stack([base, 2 * base, -base, 0.5 * base])
 
     c = sp.project(f)
-    np.testing.assert_allclose(sp.eval(c), f(sp.xq), rtol=1e-12, atol=1e-13)
+    np.testing.assert_allclose(sp.eval(c), f(*sp.points), rtol=1e-12, atol=1e-13)
     # derivative evaluation matches the analytic derivative
     if q >= 2:
         def fprime(x):
@@ -143,7 +145,7 @@ def test_projection_reproduces_polynomials(q):
             return np.stack([base, 2 * base, -base, 0.5 * base])
 
         np.testing.assert_allclose(
-            sp.eval(c, order=1), fprime(sp.xq), rtol=1e-11, atol=1e-11
+            sp.eval(c, order=1), fprime(*sp.points), rtol=1e-11, atol=1e-11
         )
 
 
@@ -152,7 +154,7 @@ def test_traces_consistent_with_point_values():
     c = sp.project(lambda x: np.stack([np.sin(x), x, x**2, 0 * x]))
     lo, hi = sp.edge_values(c, "x")
     # evaluate just inside each cell's ends
-    faces = sp.grid.interfaces()
+    faces = np.linspace(0.0, 1.0, 6)
     left_pts = sp.point_values(c, faces[:-1] + 1e-12)
     np.testing.assert_allclose(lo, left_pts, atol=1e-9)
 
@@ -198,8 +200,8 @@ def test_2d_projection_exactness():
 
     c = sp.project(f)
     vals = sp.eval(c)
-    X = np.broadcast_to(sp.xq, vals.shape[1:])
-    Y = np.broadcast_to(sp.yq, vals.shape[1:])
+    X = np.broadcast_to(sp.points[0], vals.shape[1:])
+    Y = np.broadcast_to(sp.points[1], vals.shape[1:])
     np.testing.assert_allclose(vals, f(X, Y), rtol=1e-12, atol=1e-13)
 
 
@@ -213,8 +215,8 @@ def test_2d_derivative_eval():
     c = sp.project(f)
     dx = sp.eval(c, 1, 0)
     dxy = sp.eval(c, 1, 1)
-    X = np.broadcast_to(sp.xq, dx.shape[1:])
-    Y = np.broadcast_to(sp.yq, dx.shape[1:])
+    X = np.broadcast_to(sp.points[0], dx.shape[1:])
+    Y = np.broadcast_to(sp.points[1], dx.shape[1:])
     np.testing.assert_allclose(dx[0], 2 * X * Y, atol=1e-12)
     np.testing.assert_allclose(dxy[0], 2 * X, atol=1e-12)
 
@@ -239,8 +241,8 @@ def test_2d_point_values_match_eval():
     c = rng.standard_normal((4, 5, 4, sp.nloc))
     # probe a quadrature point of cell (2, 1)
     k = 3
-    x = sp.xq[2, 0, k]
-    y = sp.yq[0, 1, k]
+    x = sp.points[0][2, 0, k]
+    y = sp.points[1][0, 1, k]
     pv = sp.point_values(c, x, y)
     ev = sp.eval(c)[:, 2, 1, k]
     np.testing.assert_allclose(pv[:, 0], ev, rtol=1e-12, atol=1e-14)

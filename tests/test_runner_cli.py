@@ -12,6 +12,7 @@ from diracdg import cli, runner
 from diracdg.cli import build_parser, main
 from diracdg.errors import ConfigError, DiracDGError
 from diracdg.integrators import cfl_dt
+from diracdg.mesh import DGSpace2D, Grid2D
 from diracdg.runner import (
     PRESETS,
     RunConfig,
@@ -115,7 +116,7 @@ def test_config_text_roundtrip(cfg):
 
 
 _STEP_BASES = (
-    replace(FAST_1D, nx=8, wave_N=32, probe=(0.5,), snapshots=(0.1,)),
+    replace(FAST_1D, nx=8, wave_N=64, probe=(0.5,), snapshots=(0.1,)),
     RunConfig(label="mms", dim=2, q=1, xmin=-2.0, xmax=2.0, nx=3, ymin=-2.0,
               ymax=2.0, ny=3, tfinal=0.05, ic="mms", source="mms",
               snapshots=(0.0,)),
@@ -247,8 +248,8 @@ def test_run_evaluates_exact_field_once_for_both_norms(monkeypatch):
     res = run_simulation(FAST_1D)
     assert calls == [0.0, res.t]  # the projection, then both norms
     sp = res.space
-    diff = sp.eval(res.coeffs) - runner.exact_state_fn(FAST_1D, res.t)(sp.xq)
-    assert res.err_l2 == pytest.approx(np.sqrt(np.sum(diff**2 * sp.wq)), rel=1e-14)
+    diff = sp.eval(res.coeffs) - runner.exact_state_fn(FAST_1D, res.t)(*sp.points)
+    assert res.err_l2 == pytest.approx(np.sqrt(np.sum(diff**2 * sp.w)), rel=1e-14)
     assert res.err_linf == pytest.approx(np.abs(diff).max(), rel=1e-14)
 
 
@@ -304,6 +305,28 @@ def test_snapshot_format(fast_run):
     )
     # the timed snapshot was also written
     assert any(f.startswith("snapshot_t0.15") for f in os.listdir(out))
+
+
+def test_snapshot_format_2d(tmp_path):
+    nx, ny = 3, 4
+    grid = Grid2D(-1.0, 2.0, nx, -2.0, 0.4, ny)
+    sp = DGSpace2D(grid, 2)
+    c = np.random.default_rng(8).standard_normal(sp.zeros().shape)
+    path = tmp_path / "snap.txt"
+    runner.write_snapshot(path, sp, c, 0.25)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "# t = 0.25"
+    assert lines[1] == "# columns: x y u1 u2 u3 u4 rhoQ"
+    arr = np.array([ln.split() for ln in lines[2:]], dtype=float)
+    assert arr.shape == (nx * ny, 7)
+    # x-major rows at the cell centres
+    ix, iy = np.divmod(np.arange(nx * ny), ny)
+    x = grid.xmin + (ix + 0.5) * grid.dx
+    y = grid.ymin + (iy + 0.5) * grid.dy
+    np.testing.assert_allclose(arr[:, 0], x, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(arr[:, 1], y, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(arr[:, 2:6], sp.point_values(c, x, y).T, rtol=1e-11)
+    np.testing.assert_allclose(arr[:, 6], np.sum(arr[:, 2:6] ** 2, axis=1), rtol=1e-11)
 
 
 def test_probe_file(fast_run):
@@ -404,6 +427,15 @@ def test_cli_cost(capsys, tmp_path):
     assert "768220" in out.read_text()
 
 
+@pytest.mark.parametrize(
+    "argv", [["--cells", "-5"], ["--cells", "0"], ["--steps", "-2"], ["--steps", "0"]]
+)
+def test_cli_cost_rejects_empty_counts(capsys, argv):
+    assert main(["cost"] + argv) == 2
+    err = capsys.readouterr()
+    assert "J >= 1" in err.err and "cheapest" not in err.out
+
+
 def test_cli_wave(capsys, tmp_path):
     out = tmp_path / "profile.txt"
     code = main(["wave", "--omega", "0.8", "--dim", "1", "--out", str(out)])
@@ -426,14 +458,23 @@ def test_cli_wave_bad_frequency(capsys):
         (["--N", "1"], "N >= 2"),
         (["--R", "-5"], "R must be > 0"),
         (["--R", "0"], "R must be > 0"),
+        (["--R", "inf"], "finite"),
         (["--dim", "2", "--spin", "-1"], "S must be >= 0"),
     ],
     ids=["negative-nodes", "no-nodes", "one-node", "negative-radius", "zero-radius",
-         "negative-spin"],
+         "infinite-radius", "negative-spin"],
 )
 def test_cli_wave_rejects_bad_input(capsys, argv, words):
     assert main(["wave", "--omega", "0.8"] + argv) == 2
     assert words in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nodes", [2, 16, 32])
+def test_cli_wave_rejects_unresolved_profile(capsys, nodes):
+    # the collocated residual vanishes at every N; the Chebyshev tail does not
+    assert main(["wave", "--omega", "0.8", "--N", str(nodes)]) == 2
+    err = capsys.readouterr().err
+    assert f"N = {nodes} nodes do not resolve" in err and "tail" in err
 
 
 def test_cli_run_needs_source(capsys):

@@ -68,10 +68,10 @@ def test_dqdt_equals_minus_squared_jumps_2d(q):
     c = 0.5 * _random_coeffs(sp)
     lo, hi = sp.edge_values(c, "x")
     um, up = interface_states(lo, hi, axis=1)
-    sx = np.sum((up - um) ** 2 * sp.wyq)  # integrate jumps along each edge
+    sx = np.sum((up - um) ** 2 * sp.axis_w[1])  # integrate jumps along each edge
     lo, hi = sp.edge_values(c, "y")
     um, up = interface_states(lo, hi, axis=2)
-    sy = np.sum((up - um) ** 2 * sp.wxq)
+    sy = np.sum((up - um) ** 2 * sp.axis_w[0])
     assert dqdt_semidiscrete(sp, MODEL, c) == pytest.approx(
         -float(sx + sy), rel=1e-10, abs=1e-11
     )
@@ -118,8 +118,8 @@ def test_residual_tracks_exact_ut_1d():
     for nx in (120, 240):  # domain wide enough that the wall jump is ~1e-16
         sp = DGSpace1D(Grid1D(-30.0, 30.0, nx), 2)
         L = rkdg_residual(sp, MODEL, sp.project(exact))
-        dev = sp.eval(L) - exact_ut(sp.xq)
-        errs.append(np.sqrt(float(np.sum(dev * dev * sp.wq))))
+        dev = sp.eval(L) - exact_ut(*sp.points)
+        errs.append(np.sqrt(float(np.sum(dev * dev * sp.w))))
     order = np.log2(errs[0] / errs[1])
     assert order > 1.7, (errs, order)
 
@@ -138,8 +138,8 @@ def test_residual_tracks_exact_ut_2d_forced():
         sp = DGSpace2D(Grid2D(-2.0, 2.0, n, -2.0, 2.0, n), 2)
         c = sp.project(lambda x, y: mms_state(x, y, t))
         L = rkdg_residual(sp, MODEL, c, t=t, source=src)
-        dev = sp.eval(L) - exact_ut(sp.xq, sp.yq)
-        errs.append(np.sqrt(float(np.sum(dev * dev * sp.w2))))
+        dev = sp.eval(L) - exact_ut(*sp.points)
+        errs.append(np.sqrt(float(np.sum(dev * dev * sp.w))))
     order = np.log2(errs[0] / errs[1])
     assert order > 1.7, (errs, order)
 
@@ -147,8 +147,8 @@ def test_residual_tracks_exact_ut_2d_forced():
     sp = DGSpace2D(Grid2D(-2.0, 2.0, 20, -2.0, 2.0, 20), 2)
     c = sp.project(lambda x, y: mms_state(x, y, t))
     L0 = rkdg_residual(sp, MODEL, c, t=t, source=None)
-    dev0 = sp.eval(L0) - exact_ut(sp.xq, sp.yq)
-    assert np.sqrt(float(np.sum(dev0 * dev0 * sp.w2))) > 100 * errs[1]
+    dev0 = sp.eval(L0) - exact_ut(*sp.points)
+    assert np.sqrt(float(np.sum(dev0 * dev0 * sp.w))) > 100 * errs[1]
 
 
 # --------------------------------------------------------------------------

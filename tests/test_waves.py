@@ -319,9 +319,9 @@ def test_mms_source_values_equal_the_jet_value(kappa):
     space = DGSpace2D(Grid2D(-2.0, 2.0, 9, -1.5, 2.5, 6), 2)
     src = MMSSource(NLDModel(kappa=kappa))
     for t in (0.0, 0.35, 1.7):
-        want = src.jet(space.xq, space.yq, t, depth=1)["val"]
+        want = src.jet(*space.points, t, depth=1)["val"]
         np.testing.assert_array_equal(src.values(space, t), want)
-        assert sorted(src.jet(space.xq, space.yq, t, depth=0)) == ["val"]
+        assert sorted(src.jet(*space.points, t, depth=0)) == ["val"]
 
 
 @pytest.mark.parametrize("kappa", [1.0, 2.0, 3.0])
@@ -331,7 +331,7 @@ def test_mms_jet_depths_agree_bit_for_bit(kappa):
 
     space = DGSpace2D(Grid2D(-2.0, 2.0, 7, -1.5, 2.5, 5), 2)
     src = MMSSource(NLDModel(kappa=kappa))
-    for points in ((space.xq, space.yq), space.edge_points["x"]):
+    for points in (space.points, space.edge_points["x"]):
         for t in (0.35, 1.7):
             deep = src.jet(*points, t, depth=3)
             assert list(deep) == ["val", "t", "x", "y", "xx", "xy", "yy",
