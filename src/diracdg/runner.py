@@ -14,10 +14,10 @@ finite float, or a comma list of floats for ``run.snapshots``.  A word or
 fraction where a number or integer belongs, a key no field uses, and a
 value or combination `_validate` rejects (a probe off the grid, waves in
 the manufactured problem, ...) raise `ConfigError`; the CLI reads its
-flags through the same path and exits 2 on it.  The bundled presets
-mirror the standard experiment set at desk scale; `full_scale=True`
-restores the published domain, resolution and final time of each
-experiment.
+flags through the same path and exits 2 on it.  The bundled presets,
+the standard experiment set, are one table, `PRESETS`: each name maps to
+a description, a desk-scale config and the fields that `full_scale=True`
+changes to restore the published domain, resolution and final time.
 """
 
 from __future__ import annotations
@@ -204,6 +204,9 @@ def _validate(cfg: RunConfig):
          f"{cfg.kappa}"),
         (cfg.ic == "mms" and cfg.waves,
          "ic.type = mms takes no ic.waveN entries (--omega and --v set ic.wave1)"),
+        ((cfg.ic == "mms") != (cfg.source == "mms"),
+         f"ic.type = mms and ic.source = mms go together (the manufactured field "
+         f"solves only its forced problem), got {cfg.ic} and {cfg.source}"),
         (cfg.exact == "waves" and not cfg.waves,
          "run.exact = waves needs a wave: no ic.wave1.omega given"),
         (any(wv.S < 0 for wv in cfg.waves), "each ic.waveN.S must be >= 0"),
@@ -369,7 +372,6 @@ def run_simulation(cfg: RunConfig, outdir=None) -> RunResult:
     history = []
     probe_rows = [] if cfg.probe else None
     pending_snaps = sorted(cfg.snapshots)
-    written = []
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)  # before the t = 0 snapshot
 
@@ -394,7 +396,6 @@ def run_simulation(cfg: RunConfig, outdir=None) -> RunResult:
             if outdir is not None:
                 fn = os.path.join(outdir, f"snapshot_t{s:g}.txt")
                 write_snapshot(fn, space, u, t)
-                written.append(fn)
 
     u, t = evolve(step, u0, 0.0, cfg.tfinal, dt, observer=observer)
     if not history or history[-1][0] < t:
@@ -495,97 +496,62 @@ def read_history(path):
 # ---------------------------------------------------------------------------
 # presets
 
-def _preset_ex41(full):
-    return RunConfig(
-        label="ex41-accuracy", dim=1, scheme="lwdg", q=2,
-        xmin=-60.0, xmax=60.0, nx=200, tfinal=50.0,
-        waves=(WaveSpec(omega=0.8, v=-0.2, x0=5.0),), history_every=200,
-    )
+def _square(half: float, n: int) -> dict:
+    """The 2D grid of n x n cells on [-half, half]^2."""
+    return dict(dim=2, xmin=-half, xmax=half, nx=n, ymin=-half, ymax=half, ny=n)
 
 
-def _preset_ex42(full):
-    return RunConfig(
-        label="ex42-error-history", dim=1, scheme="rkdg", q=3,
-        xmin=-30.0, xmax=30.0, nx=500, tfinal=3000.0 if full else 50.0,
-        waves=(WaveSpec(omega=0.8),), history_every=50,
-    )
-
-
-def _preset_ex43(full):
-    n = 40 if full else 20
-    return RunConfig(
-        label="ex43-mms", dim=2, scheme="lwdg", q=2,
-        xmin=-2.0, xmax=2.0, nx=n, ymin=-2.0, ymax=2.0, ny=n,
-        tfinal=0.2, ic="mms", source="mms", history_every=10,
-    )
-
-
-def _preset_ex44(full):
-    return RunConfig(
-        label="ex44-quaternary", dim=1, scheme="rkdg", q=2,
-        xmin=-70.0, xmax=70.0, nx=1400, tfinal=80.0 if full else 40.0,
-        waves=(
-            WaveSpec(omega=0.6, v=0.2, x0=-15.0),
-            WaveSpec(omega=0.8, v=0.1, x0=-5.0),
-            WaveSpec(omega=0.8, v=-0.1, x0=5.0),
-            WaveSpec(omega=0.6, v=-0.2, x0=15.0),
-        ),
-        history_every=200,
-    )
-
-
-def _preset_ex45(full):
-    n = 150 if full else 100
-    return RunConfig(
-        label="ex45-standing", dim=2, scheme="tsdg", q=2,
-        xmin=-15.0, xmax=15.0, nx=n, ymin=-15.0, ymax=15.0, ny=n,
-        tfinal=300.0 if full else 10.0, mu=0.7,
-        waves=(WaveSpec(omega=0.8),), history_every=50,
-    )
-
-
-def _preset_ex46(full):
-    if full:
-        half, n, scheme, t = 25.5, 255, "lwdg", 600.0
-    else:
-        half, n, scheme, t = 16.0, 80, "tsdg", 100.0
-    return RunConfig(
-        label="ex46-oscillation", dim=2, scheme=scheme, q=2,
-        xmin=-half, xmax=half, nx=n, ymin=-half, ymax=half, ny=n,
-        tfinal=t,
-        waves=(WaveSpec(omega=0.8, x0=-2.0), WaveSpec(omega=0.8, x0=2.0)),
-        probe=(0.0, 0.0), history_every=100,
-    )
-
-
-def _preset_ex47(full):
-    n = 200 if full else 100
-    return RunConfig(
-        label="ex47-travelling", dim=2, scheme="lwdg", q=2,
-        xmin=-20.0, xmax=20.0, nx=n, ymin=-20.0, ymax=20.0, ny=n,
-        tfinal=200.0 if full else 10.0,
-        waves=(WaveSpec(omega=0.8, v=-0.1),), history_every=50,
-    )
-
-
-def _preset_ex48(full):
-    return RunConfig(
-        label="ex48-breathing", dim=2, scheme="lwdg", q=2, kappa=2.0,
-        xmin=-16.0, xmax=16.0, nx=80, ymin=-16.0, ymax=16.0, ny=80,
-        tfinal=300.0 if full else 20.0,
-        waves=(WaveSpec(omega=0.94),), probe=(0.0, 0.0), history_every=50,
-    )
-
-
+# name -> (description, desk-scale config, the fields --full-scale changes to
+# restore the published domain, resolution and final time)
 PRESETS = {
-    "ex41-accuracy": (_preset_ex41, "1D travelling wave, error vs exact"),
-    "ex42-error-history": (_preset_ex42, "1D standing wave, long-time drift"),
-    "ex43-mms": (_preset_ex43, "2D forced Gaussian accuracy test"),
-    "ex44-quaternary": (_preset_ex44, "1D four-wave collision"),
-    "ex45-standing": (_preset_ex45, "2D standing wave"),
-    "ex46-oscillation": (_preset_ex46, "2D two-wave bound oscillation"),
-    "ex47-travelling": (_preset_ex47, "2D boosted wave transport"),
-    "ex48-breathing": (_preset_ex48, "2D quintic breathing wave"),
+    "ex41-accuracy": (
+        "1D travelling wave, error vs exact",
+        RunConfig(dim=1, scheme="lwdg", q=2, xmin=-60.0, xmax=60.0, nx=200,
+                  tfinal=50.0, history_every=200,
+                  waves=(WaveSpec(omega=0.8, v=-0.2, x0=5.0),)),
+        {}),
+    "ex42-error-history": (
+        "1D standing wave, long-time drift",
+        RunConfig(dim=1, scheme="rkdg", q=3, xmin=-30.0, xmax=30.0, nx=500,
+                  tfinal=50.0, history_every=50, waves=(WaveSpec(omega=0.8),)),
+        dict(tfinal=3000.0)),
+    "ex43-mms": (
+        "2D forced Gaussian accuracy test",
+        RunConfig(**_square(2.0, 20), scheme="lwdg", q=2, tfinal=0.2,
+                  history_every=10, ic="mms", source="mms"),
+        dict(nx=40, ny=40)),
+    "ex44-quaternary": (
+        "1D four-wave collision",
+        RunConfig(dim=1, scheme="rkdg", q=2, xmin=-70.0, xmax=70.0, nx=1400,
+                  tfinal=40.0, history_every=200, waves=(
+                      WaveSpec(omega=0.6, v=0.2, x0=-15.0),
+                      WaveSpec(omega=0.8, v=0.1, x0=-5.0),
+                      WaveSpec(omega=0.8, v=-0.1, x0=5.0),
+                      WaveSpec(omega=0.6, v=-0.2, x0=15.0))),
+        dict(tfinal=80.0)),
+    "ex45-standing": (
+        "2D standing wave",
+        RunConfig(**_square(15.0, 100), scheme="tsdg", q=2, tfinal=10.0, mu=0.7,
+                  history_every=50, waves=(WaveSpec(omega=0.8),)),
+        dict(nx=150, ny=150, tfinal=300.0)),
+    "ex46-oscillation": (
+        "2D two-wave bound oscillation",
+        RunConfig(**_square(16.0, 80), scheme="tsdg", q=2, tfinal=100.0,
+                  history_every=100, probe=(0.0, 0.0), waves=(
+                      WaveSpec(omega=0.8, x0=-2.0),
+                      WaveSpec(omega=0.8, x0=2.0))),
+        dict(_square(25.5, 255), scheme="lwdg", tfinal=600.0)),
+    "ex47-travelling": (
+        "2D boosted wave transport",
+        RunConfig(**_square(20.0, 100), scheme="lwdg", q=2, tfinal=10.0,
+                  history_every=50, waves=(WaveSpec(omega=0.8, v=-0.1),)),
+        dict(nx=200, ny=200, tfinal=200.0)),
+    "ex48-breathing": (
+        "2D quintic breathing wave",
+        RunConfig(**_square(16.0, 80), scheme="lwdg", q=2, kappa=2.0,
+                  tfinal=20.0, history_every=50, probe=(0.0, 0.0),
+                  waves=(WaveSpec(omega=0.94),)),
+        dict(tfinal=300.0)),
 }
 
 
@@ -593,4 +559,5 @@ def preset_config(name: str, full_scale: bool = False) -> RunConfig:
     if name not in PRESETS:
         known = ", ".join(sorted(PRESETS))
         raise ConfigError(f"unknown preset {name!r} (known: {known})")
-    return PRESETS[name][0](full_scale)
+    _, cfg, full = PRESETS[name]
+    return replace(cfg, label=name, **(full if full_scale else {}))

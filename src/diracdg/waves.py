@@ -40,6 +40,7 @@ factorial in t times Hermite-type polynomials in x and y.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cache
@@ -57,8 +58,6 @@ from .model import NLDModel, complex_to_real
 def cheb_nodes_matrix(n: int):
     """Gauss-Lobatto nodes xi_j = cos(j pi / n) (decreasing) and the
     dense differentiation matrix on them."""
-    if n == 0:
-        return np.zeros((1, 1)), np.ones(1)
     x = np.cos(np.pi * np.arange(n + 1) / n)
     c = np.hstack([2.0, np.ones(n - 1), 2.0]) * (-1.0) ** np.arange(n + 1)
     dx = x[:, None] - x[None, :]
@@ -104,6 +103,19 @@ def _clenshaw(coef, s, chunk: int = 8192):
 # ---------------------------------------------------------------------------
 # Newton solve of the collocated radial system
 
+# Newton's damped step size, its stopping step size and its iteration limit
+_DAMPING = 0.5
+_NEWTON_TOL = 1e-12
+_MAX_ITER = 200
+
+
+def _collocation(N: int, R: float, dim: int, S: int):
+    """Nodes r on [0, R] (r[0] = R, r[-1] = 0), d/dr on them, and the
+    coefficient c of the radial system."""
+    D, xi = cheb_nodes_matrix(N)
+    return 0.5 * R * (1.0 + xi), (2.0 / R) * D, 1.0 if dim == 1 else 2.0 * (S + 1)
+
+
 def _radial_system(p, w, r, Dr, cc, omega, model, S, want_jacobian):
     n = r.size
     r2s = r ** (2 * S)
@@ -130,29 +142,29 @@ def _radial_system(p, w, r, Dr, cc, omega, model, S, want_jacobian):
     return F, J
 
 
-def _newton_profile(p, w, r, Dr, cc, omega, model, S, damping, tol, max_iter):
+def _newton_profile(p, w, r, Dr, cc, omega, model, S):
     n = r.size
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         F, J = _radial_system(p, w, r, Dr, cc, omega, model, S, True)
         delta = np.linalg.solve(J, -F)
         # full steps once close: the damping is only there to tame the
         # far-from-solution updates of deep waves
-        step = 1.0 if np.max(np.abs(delta)) < 1e-3 else damping
+        step = 1.0 if np.max(np.abs(delta)) < 1e-3 else _DAMPING
         p = p + step * delta[:n]
         w = w + step * delta[n:]
         if np.max(np.abs(p)) > 1e6:
             raise NoConvergence(it, float(np.max(np.abs(F))))
-        if step * np.max(np.abs(delta)) <= tol:
+        if step * np.max(np.abs(delta)) <= _NEWTON_TOL:
             break
     else:
-        raise NoConvergence(max_iter, float(np.max(np.abs(F))))
+        raise NoConvergence(_MAX_ITER, float(np.max(np.abs(F))))
     F, _ = _radial_system(p, w, r, Dr, cc, omega, model, S, False)
     res = float(np.max(np.abs(F)))
     if res > 1e-10:
         raise NoConvergence(it, res)
     if np.max(np.abs(r**S * p)) <= 1e-6:
         raise NoConvergence(it, res)  # collapsed onto the trivial solution
-    return p, w, res, it
+    return p, w, res
 
 
 @dataclass
@@ -207,12 +219,9 @@ class WaveProfile:
 _TAIL_TOL = 1e-5
 
 
-def _continuation_ladder(omega: float, anchor: float = 0.8):
-    if omega < anchor:
-        oms = list(np.arange(anchor, omega, -0.1))
-    else:
-        oms = list(np.arange(anchor, omega, 0.1))
-    return oms + [omega]
+def _continuation_ladder(omega: float, anchor: float):
+    step = -0.1 if omega < anchor else 0.1
+    return list(np.arange(anchor, omega, step)) + [omega]
 
 
 def solve_standing_wave(
@@ -222,9 +231,6 @@ def solve_standing_wave(
     model: NLDModel | None = None,
     R: float | None = None,
     N: int = 256,
-    damping: float = 0.5,
-    tol: float = 1e-12,
-    max_iter: int = 200,
 ) -> WaveProfile:
     """Compute the profile via collocation; continuation handles deep waves."""
     model = model or NLDModel()
@@ -241,45 +247,24 @@ def solve_standing_wave(
         if bad:
             raise ConfigError(msg)
     R = float(R) if R is not None else (40.0 if dim == 1 else 30.0)
-    D, xi = cheb_nodes_matrix(N)
-    r = 0.5 * R * (1.0 + xi)  # r[0] = R, r[-1] = 0
-    Dr = (2.0 / R) * D
-    cc = 1.0 if dim == 1 else 2.0 * (S + 1)
+    r, Dr, cc = _collocation(N, R, dim, S)
 
     # the 2D ground state sits well above the 1D sech scale, and a too-small
     # seed makes Newton collapse onto the trivial solution, so a short list
-    # of seed amplitudes is tried before resorting to continuation
+    # of seed amplitudes is tried, first at omega itself and then with
+    # continuation from the shallow anchor wave omega = 0.8
     factors = (1.0, 1.6) if dim == 1 else (1.8, 1.3, 2.5)
-
-    def seed(om, fac):
-        b = np.sqrt(model.m**2 - om**2)
-        return fac * np.sqrt(model.m - om) / np.cosh(b * r), np.zeros_like(r)
-
-    def attempt(p, w, om):
-        return _newton_profile(
-            p, w, r, Dr, cc, om, model, S, damping, tol, max_iter
-        )
-
-    p = None
-    for fac in factors:
+    for anchor, fac in itertools.product((omega, 0.8), factors):
+        b = np.sqrt(model.m**2 - anchor**2)
+        p, w = fac * np.sqrt(model.m - anchor) / np.cosh(b * r), np.zeros_like(r)
         try:
-            p, w, res, _ = attempt(*seed(omega, fac), omega)
+            for om in _continuation_ladder(omega, anchor):
+                p, w, res = _newton_profile(p, w, r, Dr, cc, om, model, S)
             break
-        except NoConvergence:
-            p = None
-    if p is None:
-        failure = None
-        for fac in factors:
-            try:
-                p, w = seed(0.8, fac)
-                for om in _continuation_ladder(omega):
-                    p, w, res, _ = attempt(p, w, om)
-                break
-            except NoConvergence as exc:
-                failure = exc
-                p = None
-        if p is None:
-            raise failure
+        except NoConvergence as exc:
+            failure = exc
+    else:
+        raise failure
     prof = WaveProfile(dim, S, float(omega), model, R, N, r, p, w, res)
     # the collocated residual vanishes at any N; the series' tail shows
     # whether N nodes resolve the profile on [0, R]
@@ -293,9 +278,7 @@ def solve_standing_wave(
 
 def wave_ode_residual(profile: WaveProfile) -> float:
     """Max-norm residual of the collocated radial system, recomputed."""
-    D, xi = cheb_nodes_matrix(profile.N)
-    Dr = (2.0 / profile.R) * D
-    cc = 1.0 if profile.dim == 1 else 2.0 * (profile.S + 1)
+    _, Dr, cc = _collocation(profile.N, profile.R, profile.dim, profile.S)
     F, _ = _radial_system(
         profile.p, profile.w, profile.r, Dr, cc, profile.omega,
         profile.model, profile.S, False,

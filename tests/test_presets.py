@@ -1,10 +1,11 @@
-"""The eight presets pinned against stored configs.
+"""The eight presets pinned against stored configs and the README.
 
 The fixture `data/preset_configs.json` holds `config_to_flat` of every
 preset at desk scale and at full scale.  A change to a preset's domain,
 mesh, scheme, final time or waves shows here as a changed flat value;
 the stored values keep their types, so an integer that turns into a float
-shows too.
+shows too.  The README's preset table must list the same names with the
+same descriptions.
 
 Regenerate (only when a change of the presets is intended) with
 
@@ -13,12 +14,14 @@ Regenerate (only when a change of the presets is intended) with
 
 import json
 import os
+import re
 
 import pytest
 
 from diracdg.runner import PRESETS, config_to_flat, preset_config
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "preset_configs.json")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 SCALES = {"desk": False, "full": True}
 
 
@@ -51,6 +54,14 @@ def test_preset_matches_stored_config(stored, name, scale):
     got = config_to_flat(preset_config(name, SCALES[scale]))
     assert got == want
     assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in want.items()}
+
+
+def test_readme_lists_every_preset():
+    # the README's preset table: one "| `name` | description |" row each
+    with open(README) as fh:
+        rows = re.findall(r"^\| `(ex[^`]+)` \| (.+?) \|$", fh.read(), re.MULTILINE)
+    assert dict(rows) == {name: desc for name, (desc, _, _) in PRESETS.items()}
+    assert len(rows) == len(PRESETS)
 
 
 if __name__ == "__main__":

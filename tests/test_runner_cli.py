@@ -147,6 +147,7 @@ def test_malformed_config_steps_or_raises(data):
         cfg = config_from_flat(parse_config_text(text))
         # an accepted config takes a step and reaches every snapshot time
         assert cfg.tfinal > 0.0 and all(0.0 <= s <= cfg.tfinal for s in cfg.snapshots)
+        assert (cfg.ic == "mms") == (cfg.source == "mms")
         space = build_space(cfg)
         model = cfg.model()
         source = MMSSource(model) if cfg.source == "mms" else None
@@ -197,7 +198,7 @@ def test_presets_are_valid_configs(name, full):
 
 
 def test_preset_descriptions():
-    for name, (_, desc) in PRESETS.items():
+    for name, (desc, _, _) in PRESETS.items():
         assert isinstance(desc, str) and desc
 
 
@@ -572,12 +573,14 @@ _FAST_MMS = RunConfig(
         (replace(_FAST_MMS, ic="waves", waves=(WaveSpec(omega=0.8),), kappa=2.5),
          "model.kappa"),
         (replace(_FAST_MMS, kappa=-1.0), "model.kappa"),
+        (replace(_FAST_MMS, source="none"), "ic.source"),
+        (replace(_FAST_MMS, ic="waves", waves=(WaveSpec(omega=0.8),)), "ic.source"),
     ],
     ids=["x-reversed", "x-empty", "2d-no-ny", "y-reversed", "history-every-0",
          "no-cells", "no-waves", "1d-mms-source", "1d-mms-exact",
          "exact-waves-no-wave", "negative-nodes", "negative-radius",
          "negative-spin", "mms-fractional-kappa", "mms-source-fractional-kappa",
-         "mms-negative-kappa"],
+         "mms-negative-kappa", "mms-unforced", "waves-forced"],
 )
 def test_cli_rejects_degenerate_config(capsys, tmp_path, cfg, words):
     cfgfile = tmp_path / "bad.cfg"
