@@ -262,7 +262,7 @@ def solve_standing_wave(
                 p, w, res = _newton_profile(p, w, r, Dr, cc, om, model, S)
             break
         except NoConvergence as exc:
-            failure = exc
+            failure = exc.with_traceback(None)  # frees the attempt's Jacobian
     else:
         raise failure
     prof = WaveProfile(dim, S, float(omega), model, R, N, r, p, w, res)
