@@ -40,7 +40,9 @@ def cfl_dt(space, mu: float) -> float:
 
 def default_mu(dim: int, q: int, scheme: str) -> float:
     """CFL numbers used throughout: 0.25 in 1D; 0.5 in 2D except the
-    degree-3 one-step scheme, which needs 0.25."""
+    degree-3 one-step scheme, at 0.25.  Its measured linear stability
+    limit is 1.00 (lambda = 0, power iteration on 16^2 cells); whether the
+    nonlinear runs need 0.25 is unmeasured."""
     if dim == 1:
         return 0.25
     if scheme == "lwdg" and q == 3:

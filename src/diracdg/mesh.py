@@ -34,6 +34,7 @@ from operator import mul
 
 import numpy as np
 
+from . import pool
 from .errors import InsufficientLevels, Unsupported
 
 # Gauss-Legendre rules on [-1, 1], 32 significant digits.
@@ -168,8 +169,17 @@ def table_dot(values, table):
     (..., k) @ (k, l) -> (..., l).  All the hot basis contractions funnel
     through here; einsum would not hit BLAS for these shapes."""
     lead = values.shape[:-1]
-    flat = values.reshape(-1, values.shape[-1]) @ table
-    return flat.reshape(lead + (table.shape[1],))
+    flat = values.reshape(-1, values.shape[-1])
+    if not pool.large(values):
+        return (flat @ table).reshape(lead + (table.shape[1],))
+    # two row halves of one result.  Each half has thousands of rows, so
+    # numpy hands it to the same gemm as the whole and every row rounds as
+    # in one call (a one-row half would go through gemv, which sums apart).
+    out = np.empty((flat.shape[0], table.shape[1]), np.result_type(flat, table))
+    half = flat.shape[0] // 2
+    halves = (slice(None, half), slice(half, None))
+    list(pool.map(lambda s: np.matmul(flat[s], table, out=out[s]), halves))
+    return out.reshape(lead + (table.shape[1],))
 
 
 def _outer(factors):

@@ -209,6 +209,12 @@ def _validate(cfg: RunConfig):
          f"solves only its forced problem), got {cfg.ic} and {cfg.source}"),
         (cfg.exact == "waves" and not cfg.waves,
          "run.exact = waves needs a wave: no ic.wave1.omega given"),
+        (cfg.exact == "mms" and cfg.ic != "mms",
+         f"run.exact = mms needs ic.type = mms (the manufactured field solves "
+         f"only its forced problem), got ic.type = {cfg.ic}"),
+        (cfg.exact == "waves" and len(cfg.waves) > 1,
+         f"run.exact = waves takes one wave, got {len(cfg.waves)}: their sum "
+         f"stops solving the equation once the waves overlap"),
         (any(wv.S < 0 for wv in cfg.waves), "each ic.waveN.S must be >= 0"),
         (cfg.wave_N < 2 or cfg.wave_R < 0.0,
          f"ic.wave_N = {cfg.wave_N} must be >= 2 and ic.wave_R = {cfg.wave_R} >= 0"),

@@ -14,10 +14,13 @@ Regenerate (only when a change of the numbers is intended) with
 """
 
 import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from diracdg import cascade, pool
 from diracdg.integrators import rk4_step
 from diracdg.lwdg import lwdg_step
 from diracdg.mesh import DGSpace1D, DGSpace2D, Grid1D, Grid2D
@@ -105,6 +108,43 @@ def test_golden_step(golden, case):
     assert got.shape == want.shape
     err = np.max(np.abs(got - want))
     assert err <= RTOL * np.max(np.abs(want)), f"{case}: max diff {err:.3e}"
+
+
+@pytest.mark.parametrize("case", [c for c in _cases() if "-2d-" in c])
+def test_pooled_step_equals_serial(golden, monkeypatch, case):
+    """The thread pool path, forced onto the small 2D mesh with blocks of a
+    few points, gives the serial result bit for bit."""
+    coeffs = golden[_input_key(case)]
+    serial = run_case(case, coeffs)
+    monkeypatch.setattr(pool, "MIN_ELEMENTS", 0)
+    monkeypatch.setattr(cascade, "_BLOCK_POINTS", 4)
+    pooled = run_case(case, coeffs)
+    assert pooled.tobytes() == serial.tobytes(), case
+    want = golden[case]
+    assert np.max(np.abs(pooled - want)) <= RTOL * np.max(np.abs(want))
+
+
+def test_pool_serves_concurrent_callers(golden, monkeypatch):
+    """Six threads step at once through one pool made on first use, with a
+    short switch interval: each gets the bits of its case stepped alone."""
+    cases = [c for c in _cases() if "-2d-q2-" in c][:6]
+    monkeypatch.setattr(pool, "MIN_ELEMENTS", 0)
+    monkeypatch.setattr(cascade, "_BLOCK_POINTS", 4)
+    alone = [run_case(c, golden[_input_key(c)]).tobytes() for c in cases]
+    monkeypatch.setattr(pool, "_pool", None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(cases)) as callers:
+            futures = [callers.submit(run_case, c, golden[_input_key(c)])
+                       for c in cases]
+            together = [f.result(timeout=60).tobytes() for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    made = pool._pool
+    made.shutdown()
+    assert together == alone
+    assert made._max_workers <= 2
 
 
 if __name__ == "__main__":

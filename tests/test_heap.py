@@ -21,18 +21,23 @@ def test_policy_is_applied_once(monkeypatch):
         return 1
 
     monkeypatch.setattr(heap, "_libc", lambda: SimpleNamespace(mallopt=mallopt))
+    monkeypatch.setattr(heap, "openblas_threads",
+                        lambda: [(lambda n: calls.append(("blas threads", n)), None)])
     monkeypatch.setattr(heap, "_applied", None)
     assert heap.keep_freed_heap_mapped() is True
     assert heap.keep_freed_heap_mapped() is True
     assert calls == [
         (heap.M_MMAP_THRESHOLD, heap.MMAP_THRESHOLD),
         (heap.M_TRIM_THRESHOLD, heap.TRIM_THRESHOLD),
+        (heap.M_ARENA_MAX, heap.ARENA_MAX),
+        ("blas threads", 1),
     ]
 
 
 @pytest.mark.parametrize("libc", [None, object()], ids=["no-glibc", "no-mallopt"])
 def test_policy_without_mallopt_does_nothing(monkeypatch, libc):
     monkeypatch.setattr(heap, "_libc", lambda: libc)
+    monkeypatch.setattr(heap, "openblas_threads", lambda: [])
     monkeypatch.setattr(heap, "_applied", None)
     assert heap.keep_freed_heap_mapped() is False
     assert heap.keep_freed_heap_mapped() is False
@@ -84,3 +89,29 @@ def test_forced_2d_steps_take_no_page_faults():
     # 8.4k-11.9k per step when the freed heap top is handed back to the
     # system; with it kept mapped only growth to a new peak faults pages in
     assert max(faults[1:]) < 1000, faults
+
+
+# The first use of the thread pool, in a fresh interpreter that never calls
+# run_simulation: it must apply the policy before its threads exist.
+_POOL_FIRST = """
+import json
+from diracdg import heap, pool
+
+before = [get() for _, get in heap.openblas_threads()]
+assert heap._applied is None
+assert list(pool.map(abs, [-1, 2])) == [1, 2]
+print(json.dumps({"applied": heap._applied, "before": before,
+                  "after": [get() for _, get in heap.openblas_threads()]}))
+"""
+
+
+@pytest.mark.skipif(not heap.openblas_threads(),
+                    reason="no OpenBLAS with a thread-count call is loaded")
+def test_pool_applies_policy_and_leaves_one_blas_thread():
+    src = str(Path(diracdg.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="2")
+    out = subprocess.run([sys.executable, "-c", _POOL_FIRST], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    got = json.loads(out.stdout.splitlines()[-1])
+    assert got["applied"] is not None
+    assert got["before"] and got["after"] == [1] * len(got["before"]), got

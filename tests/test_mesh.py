@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from diracdg import pool
 from diracdg.errors import InsufficientLevels, Unsupported
 from diracdg.mesh import (
     DGSpace1D,
@@ -121,6 +122,20 @@ def test_table_dot_matches_einsum():
     np.testing.assert_allclose(
         table_dot(vals, tab), np.einsum("...k,kl->...l", vals, tab), atol=1e-13
     )
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+def test_table_dot_row_halves_equal_one_matmul(monkeypatch, layout):
+    """On the pool, an odd number of rows split in two halves of one result
+    gives the bits of one matmul, for a transposed table as the spaces use
+    and for values that are a strided view."""
+    rng = np.random.default_rng(4)
+    vals = rng.standard_normal((3, 6, 5, 9))
+    vals = vals[:, 1:] if layout == "strided" else vals[:, :5].copy()  # 75 rows
+    tab = rng.standard_normal((7, 9)).T
+    serial = table_dot(vals, tab)
+    monkeypatch.setattr(pool, "MIN_ELEMENTS", 0)
+    assert table_dot(vals, tab).tobytes() == serial.tobytes()
 
 
 # --------------------------------------------------------------------------

@@ -148,6 +148,8 @@ def test_malformed_config_steps_or_raises(data):
         # an accepted config takes a step and reaches every snapshot time
         assert cfg.tfinal > 0.0 and all(0.0 <= s <= cfg.tfinal for s in cfg.snapshots)
         assert (cfg.ic == "mms") == (cfg.source == "mms")
+        # its exact field, if any, is the one its initial field starts from
+        assert cfg.exact_kind() in ("none", cfg.ic)
         space = build_space(cfg)
         model = cfg.model()
         source = MMSSource(model) if cfg.source == "mms" else None
@@ -575,12 +577,18 @@ _FAST_MMS = RunConfig(
         (replace(_FAST_MMS, kappa=-1.0), "model.kappa"),
         (replace(_FAST_MMS, source="none"), "ic.source"),
         (replace(_FAST_MMS, ic="waves", waves=(WaveSpec(omega=0.8),)), "ic.source"),
+        (replace(_FAST_MMS, ic="waves", source="none", waves=(WaveSpec(omega=0.8),),
+                 exact="mms"), "run.exact = mms"),
+        (replace(FAST_1D, exact="waves",
+                 waves=(WaveSpec(omega=0.8, x0=-3.0), WaveSpec(omega=0.8, x0=3.0))),
+         "run.exact = waves"),
     ],
     ids=["x-reversed", "x-empty", "2d-no-ny", "y-reversed", "history-every-0",
          "no-cells", "no-waves", "1d-mms-source", "1d-mms-exact",
          "exact-waves-no-wave", "negative-nodes", "negative-radius",
          "negative-spin", "mms-fractional-kappa", "mms-source-fractional-kappa",
-         "mms-negative-kappa", "mms-unforced", "waves-forced"],
+         "mms-negative-kappa", "mms-unforced", "waves-forced", "exact-mms-on-waves",
+         "exact-waves-two-waves"],
 )
 def test_cli_rejects_degenerate_config(capsys, tmp_path, cfg, words):
     cfgfile = tmp_path / "bad.cfg"
