@@ -7,8 +7,10 @@ Subcommands::
     diracdg cost      --q 3 --cells 1000 --steps 100
     diracdg wave      --omega 0.8 --dim 2 --out profile.txt
 
-Exit codes: 0 success, 2 usage or configuration error, 3 numerical
-failure (blow-up, nonlinear solver stall), 4 file I/O error.
+Exit codes: 0 success, 2 usage or configuration error (also a problem too
+large for the memory: the message names the allocation that failed), 3
+numerical failure (blow-up, nonlinear solver stall or collapse), 4 file I/O
+error.
 """
 
 from __future__ import annotations
@@ -200,6 +202,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -31,13 +31,14 @@ class BlowupError(DiracDGError):
 
 
 class NoConvergence(DiracDGError):
-    """Iterative solve failed to reach tolerance."""
+    """Iterative solve failed to reach tolerance, or reached it on a solution
+    it must not return (`what` names the failure)."""
 
-    def __init__(self, iterations: int, residual: float):
+    def __init__(self, iterations: int, residual: float, what: str = "no convergence"):
         self.iterations = iterations
         self.residual = residual
         super().__init__(
-            f"no convergence after {iterations} iterations (residual {residual:.3e})"
+            f"{what} after {iterations} iterations (residual {residual:.3e})"
         )
 
 

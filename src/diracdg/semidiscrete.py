@@ -1,25 +1,31 @@
-"""Method-of-lines DG residual with local Lax-Friedrichs coupling.
+"""The DG weak form that rkdg, lwdg and tsdg share.
 
-The semidiscrete form of u_t + alpha u_x + beta u_y = M(u) + R reads, per
-cell K and basis function v_l,
+Each scheme discretises u_t + alpha u_x + beta u_y = M(u) + R in time its
+own way and then applies one spatial operator.  For a volume field f, a
+zero-order term g and interface states a (advected) and b (dissipated),
+`weak_form` returns per cell K and basis function v_l
 
-    a_l du_l/dt = int_K [ F(u) . grad v_l + (M(u) + R) v_l ]
-                  - sum_edges int_e  Fhat . n  v_l,
+    int_K [ F(f) . grad v_l + g v_l ] - sum_edges int_e  Fhat . n  v_l,
 
-with F(u) = (alpha u, beta u) and the flux Fhat at an interface
+with F(f) = (alpha f, beta f) and the local Lax-Friedrichs flux
 
-    Fhat . n = 1/2 [ (F(u-) + F(u+)) . n - (u+ - u-) ],
+    Fhat . n = 1/2 [ (F(a-) + F(a+)) . n - (b+ - b-) ]
 
-whose dissipation coefficient is the unit spectral radius of alpha/beta.
+(the unit spectral radius of alpha/beta).  b is always the plain trace of
+u; a scheme only chooses (f, g, a):
+
+    rkdg        f = a = u,     g = M(u) + R    (`rkdg_residual`: a_l du_l/dt)
+    lwdg        f = a = w,     g = G           (the Taylor sums, `lwdg`)
+    tsdg I      f = a = u,     g = M(u) + R    (rkdg's, times the mass)
+    tsdg Ihat   f = a = u_t,   g = M_t + R_t
+
+`cascade_states` builds the interface states of the two cascade schemes.
 Exterior traces are zero on all boundaries (every derivative order), which
 acts as a weakly absorbing wall far from the supported solution.
 
 Because gamma is antisymmetric the discrete charge Q_h = sum a_l u_l^2 is
 non-increasing for the exact-in-time flow: dQ/dt equals minus the summed
 squared interface jumps.  `dqdt_semidiscrete` exposes that quantity.
-
-This residual, `lwdg` and `tsdg` are each written once, as a loop over
-`axes(space)`: x with alpha, and on a 2D space also y with beta.
 """
 
 from __future__ import annotations
@@ -92,34 +98,53 @@ def axes(space):
     )
 
 
-def edge_sources(source, space, t, d, depth: int):
-    """Each cell's (low, high)-edge source jets along `d`, or (None, None)."""
-    if source is None:
-        return None, None
-    lo, hi = {}, {}
-    for key, v in source.edge_jet(space, t, d.name, depth=depth).items():
-        lo[key], hi[key] = _sides(v, d.axis)
-    return lo, hi
+def weak_form(space, f, g, states):
+    """sum_d int F_d(f) . d_d v + int g v - sum_d int_edges Fhat_d . n v, with
+    Fhat_d = lf_flux(d.flux, *states(d)).  `states` is called one direction
+    at a time, so one direction's traces die before the next one's exist."""
+    dirs = axes(space)
+    # In-place sum, not sum(): over three 200^2 P2 steps the lwdg step, which
+    # sets a 2D run's peak RSS, peaked at 273-278 MB against 282-287 with
+    # sum() (rkdg alone peaks lower with sum(), 140 against 151 MB).
+    vol = reduce(iadd, (table_dot(d.flux(f), d.table) for d in dirs))
+    vol += table_dot(g, space.volw["u"])
+    # the edges sum apart from vol, which keeps rkdg and lwdg bit for bit
+    edge = 0.0
+    for d in dirs:
+        edge += d.edge_term(lf_flux(d.flux, *states(d)))
+    return vol - edge
+
+
+def cascade_states(space, coeffs, t, source, depth: int, advect):
+    """`states` for `weak_form` in the cascade schemes: from each side's edge
+    jet and source edge jets, the interface states of advect(jet, source
+    jets), then those of plain u."""
+
+    def states(d):
+        lo, hi = space.edge_jets(coeffs, d.name, depth=depth)
+        slo = shi = None
+        if source is not None:
+            slo, shi = {}, {}
+            for key, v in source.edge_jet(space, t, d.name, depth=depth).items():
+                slo[key], shi[key] = _sides(v, d.axis)
+        am, ap = interface_states(advect(lo, slo), advect(hi, shi), d.axis)
+        return (am, ap, *interface_states(lo["u"], hi["u"], d.axis))
+
+    return states
 
 
 def rkdg_residual(space, model, coeffs, t: float = 0.0, source=None):
     """du/dt coefficients of the semidiscrete scheme."""
-    # In-place sum: sum() keeps one more full-mesh array alive, which raised
-    # the peak RSS of a 200^2 P2 rkdg run from 165 to 175 MB.
-    dirs = axes(space)
     uv = space.eval(coeffs)
-    vol = reduce(iadd, (table_dot(d.flux(uv), d.table) for d in dirs))
     mv = model.nonlinear_term(uv)
     if source is not None:
         mv = mv + source.values(space, t)
-    vol += table_dot(mv, space.volw["u"])
 
-    edge = 0.0
-    for d in dirs:
-        lo, hi = space.edge_values(coeffs, d.name)
-        um, up = interface_states(lo, hi, d.axis)
-        edge += d.edge_term(lf_flux(d.flux, um, up, um, up))
-    return (vol - edge) / space.mass
+    def states(d):
+        um, up = interface_states(*space.edge_values(coeffs, d.name), d.axis)
+        return um, up, um, up
+
+    return weak_form(space, uv, mv, states) / space.mass
 
 
 def dqdt_semidiscrete(space, model, coeffs, t: float = 0.0, source=None):

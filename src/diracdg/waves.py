@@ -163,7 +163,8 @@ def _newton_profile(p, w, r, Dr, cc, omega, model, S):
     if res > 1e-10:
         raise NoConvergence(it, res)
     if np.max(np.abs(r**S * p)) <= 1e-6:
-        raise NoConvergence(it, res)  # collapsed onto the trivial solution
+        raise NoConvergence(it, res, "the solve collapsed onto the trivial "
+                                     "solution phi = 0")
     return p, w, res
 
 

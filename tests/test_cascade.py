@@ -16,7 +16,7 @@ from diracdg.cascade import time_jet
 from diracdg.lwdg import taylor_state
 from diracdg.mesh import DGSpace1D, DGSpace2D, Grid1D, Grid2D
 from diracdg.model import NLDModel
-from diracdg.semidiscrete import axes, edge_sources
+from diracdg.semidiscrete import axes, cascade_states
 from diracdg.waves import MMS_C1, MMS_C2, MMSSource, mms_space_jet, mms_state
 
 RNG = np.random.default_rng(7)
@@ -247,10 +247,11 @@ def _point_sets(dim, depth, forced):
     src = MMSSource(NLDModel()) if forced else None
     pairs = [(space.volume_jet(coeffs, depth),
               src.volume_jet(space, 0.7, depth) if forced else None)]
+    # each edge side's (jet, source) pair as the cascade schemes advect it
+    states = cascade_states(space, coeffs, 0.7, src, depth,
+                            lambda jet, s: pairs.append((jet, s)) or jet["u"])
     for d in axes(space):
-        lo, hi = space.edge_jets(coeffs, d.name, depth)
-        slo, shi = edge_sources(src, space, 0.7, d, depth)
-        pairs += [(lo, slo), (hi, shi)]
+        states(d)
     return pairs
 
 

@@ -480,6 +480,29 @@ def test_cli_wave_rejects_unresolved_profile(capsys, nodes):
     assert f"N = {nodes} nodes do not resolve" in err and "tail" in err
 
 
+@pytest.mark.parametrize("flag", [["--lam", "0"], ["--kappa", "-1"]])
+def test_cli_wave_names_collapse_onto_zero(capsys, flag):
+    # Newton converges here, but onto phi = 0
+    assert main(["wave", "--omega", "0.8"] + flag) == 3
+    err = capsys.readouterr().err
+    assert "collapsed onto the trivial solution" in err
+    assert "no convergence" not in err
+
+
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 74.5 GiB for an array with shape (100001, 100001) "
+    "and data type float64", ""])
+def test_cli_out_of_memory_is_one_error_line(capsys, monkeypatch, message):
+    def too_big(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "solve_standing_wave", too_big)
+    assert main(["wave", "--omega", "0.8", "--N", "100000"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: out of memory: ")
+    assert (message or "allocation failed") in err
+
+
 def test_cli_run_needs_source(capsys):
     assert main(["run"]) == 2
 

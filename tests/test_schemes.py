@@ -7,8 +7,12 @@ coefficient algebra (theta = 1/3) and expose its fourth order without any
 spatial error in the way.
 """
 
+import weakref
+
 import numpy as np
 import pytest
+
+from diracdg import tsdg
 
 from diracdg.diagnostics import total_charge
 from diracdg.errors import ConfigError
@@ -36,6 +40,72 @@ def _exact_1d(x, t):
 
 def _space_1d(nx=120, q=2):
     return DGSpace1D(Grid1D(-30.0, 30.0, nx), q)
+
+
+# --------------------------------------------------------------------------
+# one spatial operator, and one direction's traces alive at a time
+
+def _shared_operator_cases():
+    for q in (1, 2, 3):
+        for kappa in (1.0, 2.0):
+            yield "1d", q, kappa, False
+            yield "2d", q, kappa, False
+            yield "2d", q, kappa, True
+
+
+@pytest.mark.parametrize("dim, q, kappa, forced", list(_shared_operator_cases()))
+def test_tsdg_first_moment_is_rkdg_residual(dim, q, kappa, forced):
+    """tsdg's moment I is the semidiscrete residual times the mass, bit for
+    bit: both schemes apply one spatial operator."""
+    rng = np.random.default_rng(q + 10 * int(kappa) + 100 * forced)
+    if dim == "1d":
+        sp = DGSpace1D(Grid1D(-2.0, 1.5, 7), q)
+    else:
+        sp = DGSpace2D(Grid2D(-1.5, 1.5, 3, -1.0, 1.2, 2), q)
+    model = NLDModel(kappa=kappa)
+    src = MMSSource(model) if forced else None
+    c = 0.3 * rng.standard_normal(sp.zeros().shape)
+    I = tsdg._sweep(sp, model, c, 0.25, src)[1]()
+    assert (I / sp.mass).tobytes() == rkdg_residual(sp, model, c, 0.25, src).tobytes()
+
+
+STEPS = {
+    "rkdg": lambda sp, c, src: rk4_step(
+        c, 0.25, 0.01, lambda u, t: rkdg_residual(sp, MODEL, u, t, src)),
+    "lwdg": lambda sp, c, src: lwdg_step(sp, MODEL, c, 0.25, 0.01, src),
+    "tsdg": lambda sp, c, src: tsdg_step(sp, MODEL, c, 0.25, 0.01, source=src),
+}
+
+
+@pytest.mark.parametrize("scheme, forced", [
+    ("rkdg", False), ("lwdg", False), ("tsdg", False), ("lwdg", True)])
+def test_x_traces_are_freed_before_y_traces_are_built(monkeypatch, scheme, forced):
+    """When a step reads the y-direction traces, none of the arrays it read
+    on the x-direction edges is alive any more."""
+    sp = DGSpace2D(Grid2D(-1.5, 1.5, 5, -1.0, 1.2, 4), 2)
+    c = 0.3 * np.random.default_rng(5).standard_normal(sp.zeros().shape)
+    x_refs, alive_at_y = [], []
+
+    def watch(name):
+        read = getattr(sp, name)
+
+        def traced(coeffs, axis, *args, **kw):
+            if axis == "y":
+                alive_at_y.append(sum(r() is not None for r in x_refs))
+            out = read(coeffs, axis, *args, **kw)
+            if axis == "x":
+                arrays = [a for side in out
+                          for a in (side.values() if isinstance(side, dict) else [side])]
+                x_refs[:] = [weakref.ref(a) for a in arrays]
+            return out
+
+        monkeypatch.setattr(sp, name, traced)
+
+    watch("edge_jets")
+    watch("edge_values")
+    STEPS[scheme](sp, c, MMSSource(MODEL) if forced else None)
+    sweeps = {"rkdg": 4, "lwdg": 1, "tsdg": 2}[scheme]
+    assert alive_at_y == [0] * sweeps
 
 
 # --------------------------------------------------------------------------
