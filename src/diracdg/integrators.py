@@ -18,6 +18,8 @@ import numpy as np
 
 from .errors import BlowupError, ConfigError
 
+_BLOWUP_LIMIT = 1e12  # max |coefficient| beyond which a march has blown up
+
 
 def rk4_step(u, t, tau, L):
     v = u + 0.5 * tau * L(u, t)
@@ -50,8 +52,7 @@ def default_mu(dim: int, q: int, scheme: str) -> float:
     return 0.5
 
 
-def evolve(step, u0, t0: float, tfinal: float, dt: float, observer=None,
-           blowup_limit: float = 1e12):
+def evolve(step, u0, t0: float, tfinal: float, dt: float, observer=None):
     """March `step(u, t, tau) -> u` from t0 to tfinal.
 
     The final step is clipped to land exactly on tfinal.  After every step
@@ -63,6 +64,9 @@ def evolve(step, u0, t0: float, tfinal: float, dt: float, observer=None,
         raise ConfigError(f"time step must be positive and finite, got {dt!r}")
     if not np.isfinite(tfinal):
         raise ConfigError(f"final time must be finite, got {tfinal!r}")
+    for t in (t0, tfinal):
+        if t + dt == t:
+            raise ConfigError(f"time step {dt!r} does not advance t = {t!r}")
     u, t = u0, t0
     if observer is not None:
         observer(0, t0, u0)
@@ -75,7 +79,7 @@ def evolve(step, u0, t0: float, tfinal: float, dt: float, observer=None,
         t = t + tau
         istep += 1
         m = float(np.max(np.abs(u)))
-        if not np.isfinite(m) or m > blowup_limit:
+        if not np.isfinite(m) or m > _BLOWUP_LIMIT:
             raise BlowupError(t, f"max |coefficient| = {m:.3e}")
         if observer is not None:
             observer(istep, t, u)

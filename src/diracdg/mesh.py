@@ -11,8 +11,8 @@ first: (0,0), (1,0), (0,1), (2,0), (1,1), (0,2), (3,0), (2,1), (1,2), (0,3)
 in 2D.  A 1D cell is the same construction with one axis.
 
 Every integral in the suite (projection, residuals, error norms) uses the
-same (q+1)-point Gauss-Legendre rule per axis; the nodes and weights are
-hardcoded below to keep results bit-reproducible across platforms.
+same (q+1)-point Gauss-Legendre rule per axis, from closed forms that round
+to the same doubles on every platform.
 
 One construction over `grid.axes` gives both spaces `mass`, the quadrature
 `points` and `edge_points[axis]`, and basis tables keyed by jet key ("u",
@@ -20,13 +20,14 @@ One construction over `grid.axes` gives both spaces `mass`, the quadrature
 cell's (low, high) edges normal to `axis`, and the weight-scaled `volw[key]`
 (value and first derivatives) and `edgew[axis]` (values).  `DGSpace1D` and
 `DGSpace2D` keep only `eval`, whose signature names the derivative orders,
-and `edge_jets`/`edge_values`, whose contractions differ: both ends of a 1D
-cell come from one `table_dot`, a 2D edge side from one `table_dot` each,
-and perfbench's traced run pins how many `table_dot` calls a step makes.
+and `edge_jets` (at depth 0, the plain traces), whose contractions differ:
+both ends of a 1D cell come from one `table_dot`, a 2D edge side from one
+`table_dot` each, and perfbench's traced run pins how many calls a step makes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations_with_replacement, product
@@ -37,43 +38,6 @@ import numpy as np
 from . import pool
 from .errors import InsufficientLevels, Unsupported
 
-# Gauss-Legendre rules on [-1, 1], 32 significant digits.
-_GL_TABLE = {
-    2: (
-        (
-            "-0.57735026918962576450914878050196",
-            "0.57735026918962576450914878050196",
-        ),
-        ("1.0", "1.0"),
-    ),
-    3: (
-        (
-            "-0.77459666924148337703585307995648",
-            "0.0",
-            "0.77459666924148337703585307995648",
-        ),
-        (
-            "0.55555555555555555555555555555556",
-            "0.88888888888888888888888888888889",
-            "0.55555555555555555555555555555556",
-        ),
-    ),
-    4: (
-        (
-            "-0.86113631159405257522394648889281",
-            "-0.33998104358485626480266575910324",
-            "0.33998104358485626480266575910324",
-            "0.86113631159405257522394648889281",
-        ),
-        (
-            "0.34785484513745385737306394922200",
-            "0.65214515486254614262693605077800",
-            "0.65214515486254614262693605077800",
-            "0.34785484513745385737306394922200",
-        ),
-    ),
-}
-
 
 def _jet_keys(axes: str, depth: int):
     """Spatial-derivative keys of the pointwise jets up to order `depth`:
@@ -82,15 +46,23 @@ def _jet_keys(axes: str, depth: int):
                  for c in combinations_with_replacement(axes, n))
 
 
-JET_KEYS_2D = {d: _jet_keys("xy", d) for d in (1, 3)}
-
-
 def gauss_rule(n: int):
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
-    if n not in _GL_TABLE:
-        raise Unsupported(f"no {n}-point quadrature rule (supported: 2, 3, 4)")
-    nodes, weights = _GL_TABLE[n]
-    return np.array([float(s) for s in nodes]), np.array([float(s) for s in weights])
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].  Each
+    form was chosen because it rounds to the correctly rounded node or weight
+    (equal forms such as 1/sqrt(3) or (18 + sqrt(30))/36 are one ulp off), by
+    correctly rounded IEEE-754 operations alone: the same on every platform."""
+    if n == 2:
+        a = math.sqrt(1 / 3)
+        return np.array([-a, a]), np.array([1.0, 1.0])
+    if n == 3:
+        a, w = math.sqrt(3 / 5), 5 / 9
+        return np.array([-a, 0.0, a]), np.array([w, 8 / 9, w])
+    if n == 4:
+        s = math.sqrt(30.0)
+        a, b = math.sqrt(525 - 70 * s) / 35, math.sqrt(525 + 70 * s) / 35
+        wa, wb = 0.5 + s / 36, (18 - s) / 36
+        return np.array([-b, -a, a, b]), np.array([wb, wa, wa, wb])
+    raise Unsupported(f"no {n}-point quadrature rule (supported: 2, 3, 4)")
 
 
 def mass_diag(h: float, q: int):
@@ -225,7 +197,7 @@ class _TensorSpace:
         self.orders = tensor_orders(q, self.dim)
         self.nloc = len(self.orders)
         self.nq = (q + 1) ** self.dim
-        self.jet_keys = {d: _jet_keys(self.names, d) for d in (1, 3)}
+        self.jet_keys = {d: _jet_keys(self.names, d) for d in (0, 1, 3)}
         self._exps = [np.array(e) for e in zip(*self.orders)]  # per axis
         xi, wt = gauss_rule(q + 1)
         hs = [h for _, h, _ in grid.axes]
@@ -305,7 +277,6 @@ class _TensorSpace:
         return np.sqrt(self.integrate(diff**2)), float(np.max(np.abs(diff)))
 
 
-# Per dimension: eval's signature and the edge contractions, whose count perfbench pins.
 class DGSpace1D(_TensorSpace):
     """Degree-q discontinuous space on a Grid1D: coefficients (4, nx, q+1)."""
 
@@ -320,11 +291,6 @@ class DGSpace1D(_TensorSpace):
             t = table_dot(coeffs, self.edge[axis][key].T)
             lo[key], hi[key] = t[..., 0], t[..., 1]
         return lo, hi
-
-    def edge_values(self, coeffs, axis: str):
-        """Plain (low, high) end values of u, each (4, nx)."""
-        t = table_dot(coeffs, self.edge[axis]["u"].T)
-        return t[..., 0], t[..., 1]
 
 
 class DGSpace2D(_TensorSpace):
@@ -342,11 +308,6 @@ class DGSpace2D(_TensorSpace):
             lo[key] = table_dot(coeffs, t[0].T)
             hi[key] = table_dot(coeffs, t[1].T)
         return lo, hi
-
-    def edge_values(self, coeffs, axis: str):
-        """Plain traces of u on the edges normal to `axis` (both sides)."""
-        t = self.edge[axis]["u"]
-        return table_dot(coeffs, t[0].T), table_dot(coeffs, t[1].T)
 
 
 def convergence_orders(errors, cells):

@@ -141,7 +141,8 @@ def rkdg_residual(space, model, coeffs, t: float = 0.0, source=None):
         mv = mv + source.values(space, t)
 
     def states(d):
-        um, up = interface_states(*space.edge_values(coeffs, d.name), d.axis)
+        lo, hi = space.edge_jets(coeffs, d.name, depth=0)
+        um, up = interface_states(lo["u"], hi["u"], d.axis)
         return um, up, um, up
 
     return weak_form(space, uv, mv, states) / space.mass

@@ -48,7 +48,7 @@ from functools import cache
 import numpy as np
 
 from .errors import ConfigError, DomainError, NoConvergence
-from .mesh import JET_KEYS_2D
+from .mesh import _jet_keys
 from .model import NLDModel, complex_to_real
 
 
@@ -78,14 +78,17 @@ def _cheb_coeffs(vals):
     return c
 
 
-def _clenshaw(coef, s, chunk: int = 8192):
+_CHUNK = 8192  # points per block of the Clenshaw sum, to bound its buffers
+
+
+def _clenshaw(coef, s):
     """Sum the Chebyshev series of every row of `coef` at s in [-1, 1] by
     Clenshaw's recurrence; returns shape (rows,) + s.shape."""
     sf = np.asarray(s, dtype=float).ravel()
     rows, n1 = coef.shape
     out = np.empty((rows, sf.size))
-    for lo in range(0, sf.size, chunk):
-        x = sf[lo : lo + chunk]
+    for lo in range(0, sf.size, _CHUNK):
+        x = sf[lo : lo + _CHUNK]
         x2 = 2.0 * x
         b1 = np.zeros((rows, x.size))
         b2 = np.zeros_like(b1)
@@ -96,7 +99,7 @@ def _clenshaw(coef, s, chunk: int = 8192):
             t -= b2
             t += coef[:, k, None]
             b1, b2, t = t, b1, b2
-        out[:, lo : lo + chunk] = coef[:, :1] + x * b1 - b2
+        out[:, lo : lo + _CHUNK] = coef[:, :1] + x * b1 - b2
     return out.reshape((rows,) + np.shape(s))
 
 
@@ -488,7 +491,7 @@ def mms_state(x, y, t):
 def mms_space_jet(x, y, t):
     """Exact spatial jet of the manufactured field (for cascade checks)."""
     phi = _power_jet(x, y, t, 1)
-    return {k: _mms_field(phi(k.count("x"), k.count("y"), 0)) for k in JET_KEYS_2D[3]}
+    return {k: _mms_field(phi(k.count("x"), k.count("y"), 0)) for k in _jet_keys("xy", 3)}
 
 
 def _mms_assemble(ft, fx, fy, G):

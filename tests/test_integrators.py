@@ -118,10 +118,10 @@ def test_evolve_observer_sees_initial_state():
 
 def test_evolve_raises_on_blowup():
     def step(u, t, tau):
-        return u * 50.0
+        return u * 1e4  # past the 1e12 limit on the fourth step
 
     with pytest.raises(BlowupError) as exc:
-        evolve(step, np.ones(2), 0.0, 10.0, 0.1, blowup_limit=1e6)
+        evolve(step, np.ones(2), 0.0, 10.0, 0.1)
     assert exc.value.t <= 1.0  # detected promptly, not at tfinal
 
 
@@ -148,4 +148,18 @@ def test_evolve_refuses_a_march_that_cannot_end(dt, tfinal):
 
     with pytest.raises(ConfigError):
         evolve(step, np.zeros(1), 1.0, 1.0 + tfinal, dt)
+    assert not calls
+
+
+def test_evolve_refuses_a_step_that_stalls_before_tfinal():
+    """From t0 = 0 a step of 1e-20 advances t at first but stalls long
+    before t = 1; the march is refused before its first step."""
+    calls = []
+
+    def step(u, t, tau):
+        calls.append(tau)
+        return u
+
+    with pytest.raises(ConfigError, match="does not advance t = 1.0"):
+        evolve(step, np.zeros(1), 0.0, 1.0, 1e-20)
     assert not calls

@@ -1,4 +1,4 @@
-"""Mesh/space layer: quadrature table, modal basis, projections, traces."""
+"""Mesh/space layer: quadrature rule, modal basis, projections, traces."""
 
 import mpmath
 import numpy as np
@@ -40,8 +40,8 @@ def test_gauss_rule_against_mpmath(n):
         root = mpmath.findroot(lambda t: mpmath.legendre(n, t), mpmath.mpf(x))
         dP = mpmath.diff(lambda t: mpmath.legendre(n, t), root)
         wref = 2 / ((1 - root**2) * dP**2)
-        assert abs(x - float(root)) < 1e-16
-        assert abs(w - float(wref)) < 1e-16
+        assert x == float(root)  # correctly rounded
+        assert w == float(wref)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -167,7 +167,7 @@ def test_projection_reproduces_polynomials(q):
 def test_traces_consistent_with_point_values():
     sp = DGSpace1D(Grid1D(0.0, 1.0, 5), 2)
     c = sp.project(lambda x: np.stack([np.sin(x), x, x**2, 0 * x]))
-    lo, hi = sp.edge_values(c, "x")
+    lo, hi = (s["u"] for s in sp.edge_jets(c, "x", depth=0))
     # evaluate just inside each cell's ends
     faces = np.linspace(0.0, 1.0, 6)
     left_pts = sp.point_values(c, faces[:-1] + 1e-12)
@@ -244,9 +244,9 @@ def test_2d_edge_values_continuity_of_smooth_projection():
         return np.stack([z, z, z, z])
 
     c = sp.project(f)  # bilinear: representable exactly
-    lo, hi = sp.edge_values(c, "x")
+    lo, hi = (s["u"] for s in sp.edge_jets(c, "x", depth=0))
     np.testing.assert_allclose(lo[:, 1:], hi[:, :-1], atol=1e-13)
-    lo, hi = sp.edge_values(c, "y")
+    lo, hi = (s["u"] for s in sp.edge_jets(c, "y", depth=0))
     np.testing.assert_allclose(lo[:, :, 1:], hi[:, :, :-1], atol=1e-13)
 
 

@@ -571,6 +571,13 @@ def test_cli_blowup_exit_code(capsys, tmp_path):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_cli_run_refuses_a_step_that_cannot_reach_tfinal(capsys, tmp_path):
+    argv = ["run", "--preset", "ex41-accuracy", "--mu", "1e-300", "--tfinal", "1",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "does not advance t = 1.0" in capsys.readouterr().err
+
+
 _FAST_MMS = RunConfig(
     label="mms", dim=2, scheme="rkdg", q=1, xmin=-2.0, xmax=2.0, nx=6,
     ymin=-2.0, ymax=2.0, ny=6, tfinal=0.05, ic="mms", source="mms",

@@ -102,7 +102,6 @@ def test_x_traces_are_freed_before_y_traces_are_built(monkeypatch, scheme, force
         monkeypatch.setattr(sp, name, traced)
 
     watch("edge_jets")
-    watch("edge_values")
     STEPS[scheme](sp, c, MMSSource(MODEL) if forced else None)
     sweeps = {"rkdg": 4, "lwdg": 1, "tsdg": 2}[scheme]
     assert alive_at_y == [0] * sweeps

@@ -54,7 +54,7 @@ def test_dqdt_nonpositive_2d(q):
 def test_dqdt_equals_minus_squared_jumps_1d(q):
     sp = DGSpace1D(Grid1D(-2.0, 2.0, 13), q)
     c = _random_coeffs(sp)
-    lo, hi = sp.edge_values(c, "x")
+    lo, hi = (s["u"] for s in sp.edge_jets(c, "x", depth=0))
     um, up = interface_states(lo, hi, axis=1)
     expected = -float(np.sum((up - um) ** 2))
     assert dqdt_semidiscrete(sp, MODEL, c) == pytest.approx(
@@ -66,10 +66,10 @@ def test_dqdt_equals_minus_squared_jumps_1d(q):
 def test_dqdt_equals_minus_squared_jumps_2d(q):
     sp = DGSpace2D(Grid2D(-1.0, 1.5, 6, -2.0, 1.0, 5), q)
     c = 0.5 * _random_coeffs(sp)
-    lo, hi = sp.edge_values(c, "x")
+    lo, hi = (s["u"] for s in sp.edge_jets(c, "x", depth=0))
     um, up = interface_states(lo, hi, axis=1)
     sx = np.sum((up - um) ** 2 * sp.axis_w[1])  # integrate jumps along each edge
-    lo, hi = sp.edge_values(c, "y")
+    lo, hi = (s["u"] for s in sp.edge_jets(c, "y", depth=0))
     um, up = interface_states(lo, hi, axis=2)
     sy = np.sum((up - um) ** 2 * sp.axis_w[0])
     assert dqdt_semidiscrete(sp, MODEL, c) == pytest.approx(

@@ -183,6 +183,16 @@ def test_clenshaw_matches_barycentric(dim, S, kappa):
     np.testing.assert_array_equal(prof.chi(r), chi)
 
 
+def test_phi_chi_does_not_depend_on_the_clenshaw_blocks(prof_2d):
+    """Radii past one block of the Clenshaw sum give, bit for bit, the
+    values of the same radii taken in slices that cut the blocks elsewhere."""
+    r = np.linspace(0.0, prof_2d.R, 20_000)
+    whole = prof_2d.phi_chi(r)
+    parts = [prof_2d.phi_chi(r[lo : lo + 3000]) for lo in range(0, r.size, 3000)]
+    for i in (0, 1):
+        np.testing.assert_array_equal(whole[i], np.concatenate([p[i] for p in parts]))
+
+
 def test_profile_vanishes_outside_support(prof_2d):
     r = np.array([prof_2d.R + 1.0, prof_2d.R + 10.0])
     assert np.all(prof_2d.phi(r) == 0.0)
