@@ -16,6 +16,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -146,16 +147,12 @@ def cmd_converge(args) -> int:
     table = order_table(study["cells"], study["l2"], label=f"{cfg.label} L2")
     print(table)
     if args.out:
-        import os
-
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "converge.csv")
-        with open(path, "w") as fh:
-            fh.write("cells,l2,linf,order\n")
-            orders = [float("nan")] + study["orders"]
-            rows = zip(study["cells"], study["l2"], study["linf"], orders)
-            for n, e2, ei, od in rows:
-                fh.write(f"{n},{e2:.10e},{ei:.10e},{od:.4f}\n")
+        rows = np.column_stack([study["cells"], study["l2"], study["linf"],
+                                [np.nan] + study["orders"]])
+        np.savetxt(path, rows, fmt=["%d", "%.10e", "%.10e", "%.4f"],
+                   delimiter=",", header="cells,l2,linf,order", comments="")
         print(f"wrote {path}")
     return 0
 
@@ -177,11 +174,11 @@ def cmd_wave(args) -> int:
     prof = solve_standing_wave(
         args.omega, dim=args.dim, S=args.S, model=model, R=args.R, N=args.N
     )
-    beta = np.sqrt(model.m**2 - args.omega**2)
     print(f"profile: dim={args.dim} S={args.S} omega={args.omega}")
     print(f"  residual      = {prof.residual:.3e}")
     print(f"  charge        = {profile_charge(prof):.10f}")
-    print(f"  decay rate    = {decay_rate(prof):.6f} (sqrt(m^2-omega^2) = {beta:.6f})")
+    print(f"  decay rate    = {decay_rate(prof):.6f} "
+          f"(sqrt(m^2-omega^2) = {prof.decay_exponent:.6f})")
     if args.out:
         save_profile(args.out, prof)
         print(f"  wrote {args.out}")

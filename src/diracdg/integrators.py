@@ -19,6 +19,9 @@ import numpy as np
 from .errors import BlowupError, ConfigError
 
 _BLOWUP_LIMIT = 1e12  # max |coefficient| beyond which a march has blown up
+# planned steps beyond which a march is refused; the largest preset plan
+# (ex42-error-history at full scale) is 700 000
+_MAX_STEPS = 10**8
 
 
 def rk4_step(u, t, tau, L):
@@ -58,7 +61,8 @@ def evolve(step, u0, t0: float, tfinal: float, dt: float, observer=None):
     The final step is clipped to land exactly on tfinal.  After every step
     the coefficients are checked for blow-up.  `observer(istep, t, u)` is
     called after each accepted step (and once with istep=0 at t0).
-    A step or final time that cannot end the march raises ConfigError.
+    A step or final time that cannot end the march, or a march of more
+    than _MAX_STEPS planned steps, raises ConfigError.
     """
     if not (np.isfinite(dt) and dt > 0.0):
         raise ConfigError(f"time step must be positive and finite, got {dt!r}")
@@ -67,6 +71,11 @@ def evolve(step, u0, t0: float, tfinal: float, dt: float, observer=None):
     for t in (t0, tfinal):
         if t + dt == t:
             raise ConfigError(f"time step {dt!r} does not advance t = {t!r}")
+    planned = (tfinal - t0) / dt
+    if planned > _MAX_STEPS:
+        raise ConfigError(f"time step {dt!r} plans {planned:.3g} steps from "
+                          f"t = {t0!r} to {tfinal!r}, over the bound of "
+                          f"{_MAX_STEPS:.0e}")
     u, t = u0, t0
     if observer is not None:
         observer(0, t0, u0)

@@ -459,44 +459,37 @@ def _errors_of(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 # artifact writers
 
+HISTORY_HEADER = "t,Q_h,E_h,Q_rela,E_rela"
+
+
 def write_history(path, history):
-    with open(path, "w") as fh:
-        fh.write("t,Q_h,E_h,Q_rela,E_rela\n")
-        for row in history:
-            fh.write(
-                f"{row[0]:.12g},{row[1]:.16e},{row[2]:.16e},"
-                f"{row[3]:.6e},{row[4]:.6e}\n"
-            )
+    np.savetxt(path, np.reshape(history, (-1, 5)), delimiter=",",
+               fmt=["%.12g", "%.16e", "%.16e", "%.6e", "%.6e"],
+               header=HISTORY_HEADER, comments="")
 
 
 def write_probe(path, probe):
-    with open(path, "w") as fh:
-        fh.write("t,rhoQ\n")
-        for trow, val in probe:
-            fh.write(f"{trow:.12g},{val:.16e}\n")
+    np.savetxt(path, np.reshape(probe, (-1, 2)), fmt=["%.12g", "%.16e"],
+               delimiter=",", header="t,rhoQ", comments="")
 
 
 def write_snapshot(path, space, coeffs, t):
     """Columnar dump of the field at cell centers, x-major: x [y] u1..u4 rhoQ."""
     pts = [c.ravel() for c in np.meshgrid(*space.centres, indexing="ij")]
     vals = space.point_values(coeffs, *pts)
-    with open(path, "w") as fh:
-        fh.write(f"# t = {t!r}\n")
-        fh.write(f"# columns: {' '.join(space.names)} u1 u2 u3 u4 rhoQ\n")
-        np.savetxt(fh, np.column_stack([*pts, vals.T, charge_density(vals)]),
-                   fmt="%.12e")
+    cols = " ".join([*space.names, "u1 u2 u3 u4 rhoQ"])
+    np.savetxt(path, np.column_stack([*pts, vals.T, charge_density(vals)]),
+               fmt="%.12e", header=f"t = {t!r}\ncolumns: {cols}")
 
 
 def read_history(path):
-    rows = []
+    """The rows of a history file; one without rows gives array([])."""
     with open(path) as fh:
         header = fh.readline().strip()
-        if header != "t,Q_h,E_h,Q_rela,E_rela":
+        if header != HISTORY_HEADER:
             raise ConfigError(f"unexpected history header: {header!r}")
-        for line in fh:
-            if line.strip():
-                rows.append([float(tok) for tok in line.split(",")])
-    return np.array(rows)
+        rows = [line for line in fh if line.strip()]
+    return np.loadtxt(rows, delimiter=",", ndmin=2) if rows else np.array([])
 
 
 # ---------------------------------------------------------------------------

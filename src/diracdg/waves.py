@@ -387,19 +387,16 @@ def save_profile(path, profile: WaveProfile):
         f"N = {profile.N}",
         f"dim = {profile.dim}",
         f"residual = {profile.residual!r}",
-        # the phi/chi columns are 0/0-degenerate at r = 0; keep the exact
-        # prefactor values so a reload is bit-faithful
+        # p, w at r = 0, where phi/r^S and chi/r^{S+1} are 0/0; elsewhere
+        # a reload divides again, which can move p or w by one ulp
         f"p0 = {float(profile.p[-1])!r}",
         f"w0 = {float(profile.w[-1])!r}",
         "columns: r phi chi",
     ]
     phi = profile.r**profile.S * profile.p
     chi = profile.r ** (profile.S + 1) * profile.w
-    with open(path, "w") as fh:
-        for line in hdr:
-            fh.write(f"# {line}\n")
-        for ri, fi, ci in zip(profile.r, phi, chi):
-            fh.write(f"{ri:.18e} {fi:.18e} {ci:.18e}\n")
+    np.savetxt(path, np.column_stack([profile.r, phi, chi]), fmt="%.18e",
+               header="\n".join(hdr))
 
 
 _PROFILE_KEYS = ("omega", "S", "kappa", "lam", "m", "R", "N", "dim", "residual",
@@ -407,24 +404,14 @@ _PROFILE_KEYS = ("omega", "S", "kappa", "lam", "m", "R", "N", "dim", "residual",
 
 
 def load_profile(path) -> WaveProfile:
-    meta = {}
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "=" in line:
-                    key, val = line[1:].split("=", 1)
-                    meta[key.strip()] = val.strip()
-                continue
-            rows.append([float(tok) for tok in line.split()])
+    with open(path) as fh:  # the `# key = value` header lines
+        pairs = [ln.lstrip()[1:].split("=", 1) for ln in fh
+                 if ln.lstrip().startswith("#") and "=" in ln]
+    meta = {key.strip(): val.strip() for key, val in pairs}
     for key in _PROFILE_KEYS:
         if key not in meta:
             raise ConfigError(f"profile file {path} has no {key!r} header line")
-    data = np.array(rows)
-    r, phi, chi = data[:, 0], data[:, 1], data[:, 2]
+    r, phi, chi = np.loadtxt(path, ndmin=2, unpack=True)
     S = int(meta["S"])
     model = NLDModel(m=float(meta["m"]), lam=float(meta["lam"]),
                      kappa=float(meta["kappa"]))

@@ -163,3 +163,18 @@ def test_evolve_refuses_a_step_that_stalls_before_tfinal():
     with pytest.raises(ConfigError, match="does not advance t = 1.0"):
         evolve(step, np.zeros(1), 0.0, 1.0, 1e-20)
     assert not calls
+
+
+def test_evolve_refuses_a_march_of_too_many_steps():
+    """A step that advances t but would take 1e9 steps to reach t = 1 is
+    refused before the first step, naming the planned count."""
+    calls = []
+
+    def step(u, t, tau):
+        calls.append(tau)
+        return u
+
+    with pytest.raises(ConfigError, match=r"plans 1e\+09 steps .* 1e\+08"):
+        evolve(step, np.zeros(1), 0.0, 1.0, 1e-9,
+               observer=lambda *a: calls.append(a))
+    assert not calls

@@ -15,9 +15,12 @@ Regenerate (only when a change of the presets is intended) with
 import json
 import os
 import re
+from types import SimpleNamespace
 
 import pytest
 
+from diracdg.integrators import _MAX_STEPS, cfl_dt
+from diracdg.mesh import Grid1D, Grid2D
 from diracdg.runner import PRESETS, config_to_flat, preset_config
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "preset_configs.json")
@@ -62,6 +65,18 @@ def test_readme_lists_every_preset():
         rows = re.findall(r"^\| `(ex[^`]+)` \| (.+?) \|$", fh.read(), re.MULTILINE)
     assert dict(rows) == {name: desc for name, (desc, _, _) in PRESETS.items()}
     assert len(rows) == len(PRESETS)
+
+
+@pytest.mark.parametrize("scale", sorted(SCALES))
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_plans_fewer_steps_than_the_bound(name, scale):
+    """Every preset's march stays under `evolve`'s planned-step bound (the
+    grid alone sets dt, so no space is built)."""
+    cfg = preset_config(name, SCALES[scale])
+    grid = (Grid1D(cfg.xmin, cfg.xmax, cfg.nx) if cfg.dim == 1 else
+            Grid2D(cfg.xmin, cfg.xmax, cfg.nx, cfg.ymin, cfg.ymax, cfg.ny))
+    space = SimpleNamespace(grid=grid, dim=cfg.dim, q=cfg.q)
+    assert cfg.tfinal / cfl_dt(space, cfg.effective_mu()) < _MAX_STEPS
 
 
 if __name__ == "__main__":

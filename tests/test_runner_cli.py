@@ -1,6 +1,7 @@
 """Run orchestration, config files, artifact formats, CLI behaviour."""
 
 import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -292,6 +293,15 @@ def test_read_history_rejects_other_files(tmp_path):
         read_history(bad)
 
 
+def test_read_history_of_a_file_without_rows(tmp_path, recwarn):
+    path = tmp_path / "h.csv"
+    runner.write_history(path, [])
+    assert path.read_text() == "t,Q_h,E_h,Q_rela,E_rela\n"
+    data = read_history(path)
+    assert data.shape == (0,) and data.dtype == float
+    assert not recwarn.list
+
+
 def test_snapshot_format(fast_run):
     cfg, res, out = fast_run
     path = os.path.join(out, "snapshot_final.txt")
@@ -576,6 +586,15 @@ def test_cli_run_refuses_a_step_that_cannot_reach_tfinal(capsys, tmp_path):
             "--out", str(tmp_path / "out")]
     assert main(argv) == 2
     assert "does not advance t = 1.0" in capsys.readouterr().err
+
+
+def test_cli_run_refuses_a_march_of_too_many_steps(capsys, tmp_path):
+    argv = ["run", "--preset", "ex41-accuracy", "--mu", "1e-12", "--tfinal", "1",
+            "--out", str(tmp_path / "out")]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 10.0
+    assert "plans 8.33e+12 steps" in capsys.readouterr().err
 
 
 _FAST_MMS = RunConfig(
