@@ -16,7 +16,7 @@ class DomainError(DiracDGError):
 
 
 class ConfigError(DiracDGError):
-    """Invalid or inconsistent run configuration (bad scheme name, theta=1, ...)."""
+    """Invalid or inconsistent run configuration (bad scheme name, unknown key, ...)."""
 
 
 class BlowupError(DiracDGError):

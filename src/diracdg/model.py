@@ -134,7 +134,7 @@ class NLDModel:
     kappa: float = 1.0
 
     def g(self, rho_val):
-        return self.m - (self.kappa + 1.0) * self.lam * signed_power(rho_val, self.kappa)
+        return self.g_jet(rho_val, 0)[0]
 
     def g_jet(self, rho_val, depth=1):
         """(g, g', g'', g''') w.r.t. rho, truncated to `depth` derivatives.

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import os
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -62,7 +63,6 @@ class RunConfig:
     scheme: str = "rkdg"  # rkdg | lwdg | tsdg
     q: int = 2
     rk: str = "rk4"  # rk4 | tvd3 (rkdg only)
-    theta: float = 1.0 / 3.0  # tsdg stage parameter
     tfinal: float = 1.0
     mu: float = 0.0  # 0 -> default CFL number for (dim, q, scheme)
     history_every: int = 20
@@ -81,7 +81,6 @@ class RunConfig:
     wave_R: float = 0.0  # 0 -> solver default
     wave_N: int = 256
     probe: tuple = ()  # () or (x,) / (x, y)
-    exact: str = "auto"  # auto | waves | mms | none
     snapshots: tuple = ()
 
     def model(self) -> NLDModel:
@@ -91,13 +90,10 @@ class RunConfig:
         return self.mu if self.mu > 0.0 else default_mu(self.dim, self.q, self.scheme)
 
     def exact_kind(self) -> str:
-        if self.exact != "auto":
-            return self.exact
+        """The exact field the problem implies; a sum of waves is none."""
         if self.ic == "mms":
             return "mms"
-        if self.ic == "waves" and len(self.waves) == 1:
-            return "waves"
-        return "none"
+        return "waves" if len(self.waves) == 1 else "none"
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +101,7 @@ class RunConfig:
 
 _SCALAR_FIELDS = {
     "run.label": "label", "run.scheme": "scheme", "run.q": "q", "run.rk": "rk",
-    "run.theta": "theta", "run.tfinal": "tfinal", "run.mu": "mu",
-    "run.history_every": "history_every", "run.exact": "exact",
+    "run.tfinal": "tfinal", "run.mu": "mu", "run.history_every": "history_every",
     "grid.dim": "dim", "grid.xmin": "xmin", "grid.xmax": "xmax", "grid.nx": "nx",
     "grid.ymin": "ymin", "grid.ymax": "ymax", "grid.ny": "ny",
     "model.m": "m", "model.lam": "lam", "model.kappa": "kappa",
@@ -120,8 +115,7 @@ _TYPES.update({"probe.x": float, "probe.y": float, "run.snapshots": list})
 _TYPES.update({f"ic.wave.{f}": type(getattr(WaveSpec, f)) for f in _WAVE_FIELDS})
 _CHOICES = {
     "run.scheme": ("rkdg", "lwdg", "tsdg"), "run.rk": ("rk4", "tvd3"),
-    "run.exact": ("auto", "waves", "mms", "none"), "grid.dim": (1, 2),
-    "ic.type": ("waves", "mms"), "ic.source": ("none", "mms"),
+    "grid.dim": (1, 2), "ic.type": ("waves", "mms"), "ic.source": ("none", "mms"),
 }
 
 
@@ -195,8 +189,10 @@ def _validate(cfg: RunConfig):
                 f"{key} must be one of {', '.join(map(str, allowed))}, got {val!r}"
             )
     box = ((cfg.xmin, cfg.xmax), (cfg.ymin, cfg.ymax))[: cfg.dim]
+    names = Counter(f"{s:g}" for s in cfg.snapshots)
+    clash = sorted(s for s in cfg.snapshots if names[f"{s:g}"] > 1)
     for bad, msg in (
-        ("mms" in (cfg.ic, cfg.source, cfg.exact) and cfg.dim != 2,
+        ("mms" in (cfg.ic, cfg.source) and cfg.dim != 2,
          "the manufactured problem is two-dimensional"),
         ("mms" in (cfg.ic, cfg.source)
          and not (float(cfg.kappa).is_integer() and cfg.kappa >= 0.0),
@@ -207,25 +203,16 @@ def _validate(cfg: RunConfig):
         ((cfg.ic == "mms") != (cfg.source == "mms"),
          f"ic.type = mms and ic.source = mms go together (the manufactured field "
          f"solves only its forced problem), got {cfg.ic} and {cfg.source}"),
-        (cfg.exact == "waves" and not cfg.waves,
-         "run.exact = waves needs a wave: no ic.wave1.omega given"),
-        (cfg.exact == "mms" and cfg.ic != "mms",
-         f"run.exact = mms needs ic.type = mms (the manufactured field solves "
-         f"only its forced problem), got ic.type = {cfg.ic}"),
-        (cfg.exact == "waves" and len(cfg.waves) > 1,
-         f"run.exact = waves takes one wave, got {len(cfg.waves)}: their sum "
-         f"stops solving the equation once the waves overlap"),
         (any(wv.S < 0 for wv in cfg.waves), "each ic.waveN.S must be >= 0"),
         (cfg.wave_N < 2 or cfg.wave_R < 0.0,
          f"ic.wave_N = {cfg.wave_N} must be >= 2 and ic.wave_R = {cfg.wave_R} >= 0"),
-        (cfg.scheme == "tsdg" and abs(1.0 - cfg.theta) < 1e-12,
-         "two-stage scheme undefined at theta = 1"),
         (not 0.0 <= cfg.mu < math.inf,
          f"run.mu must be >= 0 and finite (0 picks the default), got {cfg.mu}"),
         (not cfg.tfinal > 0.0, f"run.tfinal must be > 0, got {cfg.tfinal}"),
         (any(not 0.0 <= s <= cfg.tfinal for s in cfg.snapshots),
          f"run.snapshots = {list(cfg.snapshots)} must lie in [0, run.tfinal = "
          f"{cfg.tfinal}]"),
+        (clash, f"run.snapshots times {clash} would share one snapshot file name"),
         (cfg.history_every < 1,
          f"run.history_every must be >= 1, got {cfg.history_every}"),
         (not cfg.xmin < cfg.xmax,
@@ -334,9 +321,7 @@ def make_stepper(cfg: RunConfig, space, model, source):
     if cfg.scheme == "lwdg":
         return lambda u, t, tau: lwdg_step(space, model, u, t, tau, source)
     if cfg.scheme == "tsdg":
-        return lambda u, t, tau: tsdg_step(
-            space, model, u, t, tau, theta=cfg.theta, source=source
-        )
+        return lambda u, t, tau: tsdg_step(space, model, u, t, tau, source)
 
     def L(u, t):
         return rkdg_residual(space, model, u, t, source)

@@ -10,40 +10,35 @@ to two moments, both dissipating the jump of z itself:
 I is rkdg's residual times the mass.  With I, Ihat from the sweep at (u, t)
 the intermediate state is
 
-    u*_l = u_l + tau / (3 (1 - theta) a_l) [ I_l + tau/4 Ihat_l ],
+    u*_l = u_l + tau / (2 a_l) [ I_l + tau/4 Ihat_l ],
 
-living at stage time t* = t + tau / (3 (1 - theta)); the sweep at (u*, t*)
-supplies Itilde (its Ihat only) and the full step reads
+living at stage time t* = t + tau/2; the sweep at (u*, t*) supplies Itilde
+(its Ihat only) and the full step reads
 
-    u_l(t + tau) = u_l + tau / a_l [ I_l + theta tau/2 Ihat_l
-                                     + (1 - theta) tau/2 Itilde_l ].
+    u_l(t + tau) = u_l + tau / a_l [ I_l + tau/6 Ihat_l + tau/3 Itilde_l ].
 
-theta = 1/3 (the default) reproduces the classical two-derivative
-two-stage fourth-order construction; theta = 1 degenerates (the stage
-time escapes to infinity) and is rejected.
+The weights are fixed: the two-stage family with stage time tau/(3(1-theta))
+and weights theta tau/2, (1-theta) tau/2 is fourth order only at theta = 1/3
+(Chan and Tsai, Numer. Algorithms 2010; Li and Du, SIAM J. Sci. Comput. 2016).
 """
 
 from __future__ import annotations
 
 from .cascade import time_jet
-from .errors import ConfigError
 # unused here, but perfbench/spans.py lists this module in REQUIRED_BINDINGS
 from .mesh import table_dot  # noqa: F401
 from .semidiscrete import cascade_states, weak_form
 
 
-def tsdg_step(space, model, coeffs, t, tau, theta: float = 1.0 / 3.0, source=None):
-    if abs(1.0 - theta) < 1e-12:
-        raise ConfigError("two-stage scheme undefined at theta = 1")
-    t2 = tau / (3.0 * (1.0 - theta))
+def tsdg_step(space, model, coeffs, t, tau, source=None):
+    half = 0.5 * tau
+    sixth = (1.0 / 6.0) * tau
     Ihat, first = _sweep(space, model, coeffs, t, source)
     I = first()
     del first  # frees the first sweep's jets and states before the second
-    ustar = coeffs + (t2 / space.mass) * (I + 0.25 * tau * Ihat)
-    Itilde = _sweep(space, model, ustar, t + t2, source)[0]
-    t3 = 0.5 * theta * tau
-    t4 = 0.5 * tau - t3
-    return coeffs + (tau / space.mass) * (I + t3 * Ihat + t4 * Itilde)
+    ustar = coeffs + (half / space.mass) * (I + 0.25 * tau * Ihat)
+    Itilde = _sweep(space, model, ustar, t + half, source)[0]
+    return coeffs + (tau / space.mass) * (I + sixth * Ihat + (half - sixth) * Itilde)
 
 
 def _sweep(space, model, coeffs, t, source):

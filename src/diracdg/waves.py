@@ -351,9 +351,13 @@ def superposed_real(specs, t, x, y=None):
     return complex_to_real(*superposed_state(specs, t, x, y))
 
 
-def profile_charge(profile: WaveProfile, n: int = 4000) -> float:
+_CHARGE_NODES = 4000  # trapezoid nodes of profile_charge
+_DECAY_BAND = (0.5, 0.8, 200)  # decay_rate fits phi at 200 points of [0.5 R, 0.8 R]
+
+
+def profile_charge(profile: WaveProfile) -> float:
     """Total charge of the unboosted wave (trapezoid on a fine radial grid)."""
-    r = np.linspace(0.0, profile.R, n)
+    r = np.linspace(0.0, profile.R, _CHARGE_NODES)
     ph, ch = profile.phi_chi(r)
     dens = ph**2 + ch**2
     if profile.dim == 1:
@@ -361,10 +365,10 @@ def profile_charge(profile: WaveProfile, n: int = 4000) -> float:
     return 2.0 * np.pi * float(np.trapezoid(dens * r, r))
 
 
-def decay_rate(profile: WaveProfile, lo: float = 0.5, hi: float = 0.8,
-               n: int = 200) -> float:
+def decay_rate(profile: WaveProfile) -> float:
     """Fitted exponential rate of phi; the r^{-(d-1)/2} amplitude factor is
     removed so the fit matches sqrt(m^2 - omega^2) in every dimension."""
+    lo, hi, n = _DECAY_BAND
     r = np.linspace(lo * profile.R, hi * profile.R, n)
     vals = np.abs(profile.phi(r)) * r ** ((profile.dim - 1) / 2.0)
     good = vals > 0.0

@@ -97,8 +97,10 @@ def _configs(draw):
             if dim == 1
             else st.sampled_from([(), (0.0, 0.0), (-1.0, 2.5)])
         ),
+        # one snapshot file per time: no two %g names alike
         snapshots=tuple(
-            draw(st.lists(st.floats(0.0, tfinal), min_size=0, max_size=3))
+            draw(st.lists(st.floats(0.0, tfinal), min_size=0, max_size=3,
+                          unique_by=lambda s: f"{s:g}"))
         ),
     )
 
@@ -614,8 +616,6 @@ _FAST_MMS = RunConfig(
         (replace(FAST_1D, nx=0), "grid.nx"),
         (replace(FAST_1D, waves=()), "ic.wave1"),
         (replace(FAST_1D, source="mms"), "two-dimensional"),
-        (replace(FAST_1D, exact="mms"), "two-dimensional"),
-        (replace(_FAST_MMS, exact="waves"), "run.exact"),
         (replace(FAST_1D, wave_N=-1), "ic.wave_N"),
         (replace(FAST_1D, wave_R=-1.0), "ic.wave_R"),
         (replace(_FAST_MMS, ic="waves", source="none", waves=(WaveSpec(S=-1),)),
@@ -626,18 +626,12 @@ _FAST_MMS = RunConfig(
         (replace(_FAST_MMS, kappa=-1.0), "model.kappa"),
         (replace(_FAST_MMS, source="none"), "ic.source"),
         (replace(_FAST_MMS, ic="waves", waves=(WaveSpec(omega=0.8),)), "ic.source"),
-        (replace(_FAST_MMS, ic="waves", source="none", waves=(WaveSpec(omega=0.8),),
-                 exact="mms"), "run.exact = mms"),
-        (replace(FAST_1D, exact="waves",
-                 waves=(WaveSpec(omega=0.8, x0=-3.0), WaveSpec(omega=0.8, x0=3.0))),
-         "run.exact = waves"),
     ],
     ids=["x-reversed", "x-empty", "2d-no-ny", "y-reversed", "history-every-0",
-         "no-cells", "no-waves", "1d-mms-source", "1d-mms-exact",
-         "exact-waves-no-wave", "negative-nodes", "negative-radius",
-         "negative-spin", "mms-fractional-kappa", "mms-source-fractional-kappa",
-         "mms-negative-kappa", "mms-unforced", "waves-forced", "exact-mms-on-waves",
-         "exact-waves-two-waves"],
+         "no-cells", "no-waves", "1d-mms-source", "negative-nodes",
+         "negative-radius", "negative-spin", "mms-fractional-kappa",
+         "mms-source-fractional-kappa", "mms-negative-kappa", "mms-unforced",
+         "waves-forced"],
 )
 def test_cli_rejects_degenerate_config(capsys, tmp_path, cfg, words):
     cfgfile = tmp_path / "bad.cfg"
@@ -660,10 +654,14 @@ def test_cli_rejects_degenerate_config(capsys, tmp_path, cfg, words):
         ("run.mu = nan", "run.mu"),
         ("run.tfinal = -1.0", "run.tfinal"),
         ("run.snapshots = 5.0", "run.snapshots"),
+        ("run.snapshots = 0.1000001,0.1000002",
+         "[0.1000001, 0.1000002] would share"),
+        ("run.theta = 0.5", "run.theta"),
     ],
     ids=["float-degree", "typo-key", "word-in-float", "word-in-wave",
          "word-in-snapshots", "probe-outside", "unknown-exact", "negative-mu",
-         "nan-mu", "negative-tfinal", "snapshot-after-tfinal"],
+         "nan-mu", "negative-tfinal", "snapshot-after-tfinal",
+         "snapshots-share-a-file", "theta"],
 )
 def test_cli_rejects_config_text(capsys, tmp_path, line, words):
     cfgfile = tmp_path / "bad.cfg"
@@ -672,6 +670,18 @@ def test_cli_rejects_config_text(capsys, tmp_path, line, words):
         fh.write(line + "\n")
     assert main(["run", "--config", str(cfgfile)]) == 2
     assert words in capsys.readouterr().err
+
+
+def test_cli_rejects_the_keys_of_an_older_config(capsys, tmp_path):
+    # config.cfg files saved before the two-stage weights were fixed and the
+    # exact field was derived from the problem carry these two lines
+    cfgfile = tmp_path / "old.cfg"
+    save_config(cfgfile, FAST_1D)
+    with open(cfgfile, "a") as fh:
+        fh.write("run.exact = auto\nrun.theta = 0.3333333333333333\n")
+    assert main(["run", "--config", str(cfgfile)]) == 2
+    assert ("unknown or unused config keys: run.exact, run.theta"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize(
