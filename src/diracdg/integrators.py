@@ -9,7 +9,7 @@
 
 which is algebraically identical to classical RK4 (expand: u +
 tau/6 (k1 + 2 k2 + 2 k3 + k4)) but avoids storing the four stage slopes.
-`tvd_rk3_step` is the Shu-Osher strong-stability-preserving scheme.
+rkdg steps with it; the Shu-Osher `tvd_rk3_step` is kept for library use only.
 """
 
 from __future__ import annotations
@@ -45,9 +45,9 @@ def cfl_dt(space, mu: float) -> float:
 
 def default_mu(dim: int, q: int, scheme: str) -> float:
     """CFL numbers used throughout: 0.25 in 1D; 0.5 in 2D except the
-    degree-3 one-step scheme, at 0.25.  Its measured linear stability
-    limit is 1.00 (lambda = 0, power iteration on 16^2 cells); whether the
-    nonlinear runs need 0.25 is unmeasured."""
+    degree-3 one-step scheme, at 0.25.  Its linear stability limit is 0.97
+    (lambda = 0, from the step's von Neumann symbol); whether the nonlinear
+    runs need 0.25 is unmeasured."""
     if dim == 1:
         return 0.25
     if scheme == "lwdg" and q == 3:
@@ -55,10 +55,11 @@ def default_mu(dim: int, q: int, scheme: str) -> float:
     return 0.5
 
 
-def evolve(step, u0, t0: float, tfinal: float, dt: float, observer=None):
+def evolve(step, u0, t0: float, tfinal: float, dt: float, observer=None, stops=()):
     """March `step(u, t, tau) -> u` from t0 to tfinal.
 
-    The final step is clipped to land exactly on tfinal.  After every step
+    A step is clipped to land exactly on each time in `stops` and on
+    tfinal; a stop within 1e-9 dt of t counts as reached.  After every step
     the coefficients are checked for blow-up.  `observer(istep, t, u)` is
     called after each accepted step (and once with istep=0 at t0).
     A step or final time that cannot end the march, or a march of more
@@ -80,12 +81,15 @@ def evolve(step, u0, t0: float, tfinal: float, dt: float, observer=None):
     if observer is not None:
         observer(0, t0, u0)
     istep = 0
+    ends = sorted([*stops, tfinal])  # a stop past tfinal is never reached
     while t < tfinal - 1e-9 * dt:
-        tau = min(dt, tfinal - t)
+        while ends[0] <= t + 1e-9 * dt:
+            del ends[0]
+        tau = min(dt, ends[0] - t)
         if t + tau == t:
             raise ConfigError(f"time step {tau!r} does not advance t = {t!r}")
         u = step(u, t, tau)
-        t = t + tau
+        t = ends[0] if tau == ends[0] - t else t + tau
         istep += 1
         m = float(np.max(np.abs(u)))
         if not np.isfinite(m) or m > _BLOWUP_LIMIT:

@@ -38,7 +38,7 @@ from .diagnostics import (
 )
 from .errors import ConfigError
 from .heap import keep_freed_heap_mapped
-from .integrators import cfl_dt, default_mu, evolve, rk4_step, tvd_rk3_step
+from .integrators import cfl_dt, default_mu, evolve, rk4_step
 from .lwdg import lwdg_step
 from .mesh import DGSpace1D, DGSpace2D, Grid1D, Grid2D, convergence_orders
 from .model import NLDModel, charge_density
@@ -62,7 +62,6 @@ class RunConfig:
     dim: int = 1
     scheme: str = "rkdg"  # rkdg | lwdg | tsdg
     q: int = 2
-    rk: str = "rk4"  # rk4 | tvd3 (rkdg only)
     tfinal: float = 1.0
     mu: float = 0.0  # 0 -> default CFL number for (dim, q, scheme)
     history_every: int = 20
@@ -100,7 +99,7 @@ class RunConfig:
 # flat config files
 
 _SCALAR_FIELDS = {
-    "run.label": "label", "run.scheme": "scheme", "run.q": "q", "run.rk": "rk",
+    "run.label": "label", "run.scheme": "scheme", "run.q": "q",
     "run.tfinal": "tfinal", "run.mu": "mu", "run.history_every": "history_every",
     "grid.dim": "dim", "grid.xmin": "xmin", "grid.xmax": "xmax", "grid.nx": "nx",
     "grid.ymin": "ymin", "grid.ymax": "ymax", "grid.ny": "ny",
@@ -114,8 +113,8 @@ _TYPES = {key: type(getattr(RunConfig, attr)) for key, attr in _SCALAR_FIELDS.it
 _TYPES.update({"probe.x": float, "probe.y": float, "run.snapshots": list})
 _TYPES.update({f"ic.wave.{f}": type(getattr(WaveSpec, f)) for f in _WAVE_FIELDS})
 _CHOICES = {
-    "run.scheme": ("rkdg", "lwdg", "tsdg"), "run.rk": ("rk4", "tvd3"),
-    "grid.dim": (1, 2), "ic.type": ("waves", "mms"), "ic.source": ("none", "mms"),
+    "run.scheme": ("rkdg", "lwdg", "tsdg"), "grid.dim": (1, 2),
+    "ic.type": ("waves", "mms"), "ic.source": ("none", "mms"),
 }
 
 
@@ -318,16 +317,14 @@ def initial_state(cfg: RunConfig, space):
 
 
 def make_stepper(cfg: RunConfig, space, model, source):
+    if cfg.scheme == "rkdg":
+        def L(u, t):
+            return rkdg_residual(space, model, u, t, source)
+
+        return lambda u, t, tau: rk4_step(u, t, tau, L)
     if cfg.scheme == "lwdg":
         return lambda u, t, tau: lwdg_step(space, model, u, t, tau, source)
-    if cfg.scheme == "tsdg":
-        return lambda u, t, tau: tsdg_step(space, model, u, t, tau, source)
-
-    def L(u, t):
-        return rkdg_residual(space, model, u, t, source)
-
-    rk = rk4_step if cfg.rk == "rk4" else tvd_rk3_step
-    return lambda u, t, tau: rk(u, t, tau, L)
+    return lambda u, t, tau: tsdg_step(space, model, u, t, tau, source)
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +379,14 @@ def run_simulation(cfg: RunConfig, outdir=None) -> RunResult:
             record(t, u)
         if probe_rows is not None:
             probe_rows.append((t, probe_charge_density(space, u, *cfg.probe)))
-        while pending_snaps and t >= pending_snaps[0] - 1e-12:
+        while pending_snaps and t >= pending_snaps[0] - 1e-9 * dt:
             s = pending_snaps.pop(0)
             if outdir is not None:
                 fn = os.path.join(outdir, f"snapshot_t{s:g}.txt")
                 write_snapshot(fn, space, u, t)
 
-    u, t = evolve(step, u0, 0.0, cfg.tfinal, dt, observer=observer)
+    u, t = evolve(step, u0, 0.0, cfg.tfinal, dt, observer=observer,
+                  stops=cfg.snapshots)
     if not history or history[-1][0] < t:
         record(t, u)
     hist = np.array(history)

@@ -379,6 +379,10 @@ def decay_rate(profile: WaveProfile) -> float:
 # ---------------------------------------------------------------------------
 # Profile cache files
 
+_PROFILE_KEYS = ("omega", "S", "kappa", "lam", "m", "R", "N", "dim", "residual")
+_PROFILE_COLUMNS = "columns: r p w"
+
+
 def save_profile(path, profile: WaveProfile):
     hdr = [
         "nonlinear Dirac standing-wave profile",
@@ -391,44 +395,30 @@ def save_profile(path, profile: WaveProfile):
         f"N = {profile.N}",
         f"dim = {profile.dim}",
         f"residual = {profile.residual!r}",
-        # p, w at r = 0, where phi/r^S and chi/r^{S+1} are 0/0; elsewhere
-        # a reload divides again, which can move p or w by one ulp
-        f"p0 = {float(profile.p[-1])!r}",
-        f"w0 = {float(profile.w[-1])!r}",
-        "columns: r phi chi",
+        _PROFILE_COLUMNS,
     ]
-    phi = profile.r**profile.S * profile.p
-    chi = profile.r ** (profile.S + 1) * profile.w
-    np.savetxt(path, np.column_stack([profile.r, phi, chi]), fmt="%.18e",
-               header="\n".join(hdr))
-
-
-_PROFILE_KEYS = ("omega", "S", "kappa", "lam", "m", "R", "N", "dim", "residual",
-                 "p0", "w0")
+    # p and w themselves, not phi = r^S p and chi = r^{S+1} w: a reload is exact
+    np.savetxt(path, np.column_stack([profile.r, profile.p, profile.w]),
+               fmt="%.18e", header="\n".join(hdr))
 
 
 def load_profile(path) -> WaveProfile:
-    with open(path) as fh:  # the `# key = value` header lines
-        pairs = [ln.lstrip()[1:].split("=", 1) for ln in fh
-                 if ln.lstrip().startswith("#") and "=" in ln]
+    with open(path) as fh:  # the `# ...` header lines
+        header = [ln.lstrip()[1:].strip() for ln in fh if ln.lstrip().startswith("#")]
+    if _PROFILE_COLUMNS not in header:
+        raise ConfigError(f"profile file {path} is not in the '{_PROFILE_COLUMNS}' "
+                          f"format; a file of r phi chi must be written again")
+    pairs = [ln.split("=", 1) for ln in header if "=" in ln]
     meta = {key.strip(): val.strip() for key, val in pairs}
     for key in _PROFILE_KEYS:
         if key not in meta:
             raise ConfigError(f"profile file {path} has no {key!r} header line")
-    r, phi, chi = np.loadtxt(path, ndmin=2, unpack=True)
-    S = int(meta["S"])
+    r, p, w = np.loadtxt(path, ndmin=2, unpack=True)
     model = NLDModel(m=float(meta["m"]), lam=float(meta["lam"]),
                      kappa=float(meta["kappa"]))
-    # r[-1] = 0: the stored columns are r^S p and r^{S+1} w, so the
-    # prefactor values there are 0/0 and come from the header instead
-    rr = np.where(r > 0.0, r, 1.0)
-    p = np.where(r > 0.0, phi / rr**S, 0.0)
-    w = np.where(r > 0.0, chi / rr ** (S + 1), 0.0)
-    p[-1] = float(meta["p0"])
-    w[-1] = float(meta["w0"])
     return WaveProfile(
-        int(meta["dim"]), S, float(meta["omega"]), model, float(meta["R"]),
-        int(meta["N"]), r, p, w, float(meta["residual"]),
+        int(meta["dim"]), int(meta["S"]), float(meta["omega"]), model,
+        float(meta["R"]), int(meta["N"]), r, p, w, float(meta["residual"]),
     )
 
 

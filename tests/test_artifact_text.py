@@ -29,8 +29,7 @@ HISTORY = np.array([
     [12.0, 1e-300, -7.0, -1.5, 1e-300],
 ])
 PROBE = np.array([[0.0, -0.0], [0.25, 1e-300], [1e300, NAN], [3.0, 4.0]])
-# a standing-wave profile with S = 1 on nodes that are powers of two, so
-# that phi = r p and chi = r^2 w divide back exactly
+# a standing-wave profile with S = 1
 PROFILE = dict(dim=2, S=1, omega=0.8, model=NLDModel(m=1.0, lam=0.5, kappa=2.0),
                R=4.0, N=4, r=np.array([4.0, 2.0, 1.0, 0.5, 0.0]),
                p=np.array([-0.0, 1e-300, 3.0, NAN, 1.25]),

@@ -25,6 +25,7 @@ from diracdg.integrators import rk4_step
 from diracdg.lwdg import lwdg_step
 from diracdg.mesh import DGSpace1D, DGSpace2D, Grid1D, Grid2D
 from diracdg.model import NLDModel
+from diracdg.runner import RunConfig, make_stepper
 from diracdg.semidiscrete import rkdg_residual
 from diracdg.tsdg import tsdg_step
 from diracdg.waves import MMSSource
@@ -69,11 +70,16 @@ def _random_state(space, rng):
     return 0.1 * rng.standard_normal(shape) / np.sqrt(space.mass / area)
 
 
-def run_case(case, coeffs):
+def _problem(case):
     scheme, dim, q, kappa, src = case.split("-")
     space = SPACES[dim](int(q[1:]))
     model = NLDModel(kappa=float(kappa[1:]))
     source = MMSSource(model) if src == "forced" else None
+    return scheme, space, model, source
+
+
+def run_case(case, coeffs):
+    scheme, space, model, source = _problem(case)
     return SCHEMES[scheme](space, model, coeffs, source)
 
 
@@ -108,6 +114,19 @@ def test_golden_step(golden, case):
     assert got.shape == want.shape
     err = np.max(np.abs(got - want))
     assert err <= RTOL * np.max(np.abs(want)), f"{case}: max diff {err:.3e}"
+
+
+# the run.scheme whose stepper takes each golden step
+RUN_SCHEME = {"rk4": "rkdg", "lwdg": "lwdg", "tsdg": "tsdg"}
+
+
+@pytest.mark.parametrize("case", [c for c in _cases() if c.split("-")[0] in RUN_SCHEME])
+def test_make_stepper_takes_the_golden_step(golden, case):
+    """The stepper a run builds for its run.scheme is the golden step, bit for bit."""
+    scheme, space, model, source = _problem(case)
+    step = make_stepper(RunConfig(scheme=RUN_SCHEME[scheme]), space, model, source)
+    coeffs = golden[_input_key(case)]
+    assert step(coeffs, T0, TAU).tobytes() == run_case(case, coeffs).tobytes()
 
 
 @pytest.mark.parametrize("case", [c for c in _cases() if "-2d-" in c])

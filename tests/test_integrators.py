@@ -134,6 +134,21 @@ def test_evolve_exact_landing_no_extra_step():
     assert min(count) > 0.2
 
 
+def test_evolve_lands_on_each_stop():
+    """A step is clipped to end on each stop; a stop within 1e-9 dt of t,
+    one at t0 and one past tfinal take no step of their own."""
+    seen = []
+    evolve(lambda u, t, tau: u, np.zeros(1), 0.0, 1.0, 0.3,
+           observer=lambda istep, t, u: seen.append(t),
+           stops=(2.5, 0.45 + 1e-12, 0.45, 0.0))
+    assert seen == [0.0, 0.3, 0.45, 0.45 + 0.3, 1.0]
+    # from t = 0.03, t + (0.3 - t) rounds to 0.30000000000000004
+    seen.clear()
+    evolve(lambda u, t, tau: u, np.zeros(1), 0.03, 2.0, 1.0,
+           observer=lambda istep, t, u: seen.append(t), stops=(0.3,))
+    assert seen == [0.03, 0.3, 1.3, 2.0]
+
+
 @pytest.mark.parametrize(
     "dt,tfinal",
     [(0.0, 1.0), (-0.1, 1.0), (float("nan"), 1.0), (float("inf"), 1.0),

@@ -76,7 +76,6 @@ def _configs(draw):
         dim=dim,
         scheme=draw(st.sampled_from(["rkdg", "lwdg", "tsdg"])),
         q=draw(st.sampled_from([1, 2, 3])),
-        rk=draw(st.sampled_from(["rk4", "tvd3"])),
         tfinal=tfinal,
         mu=draw(st.sampled_from([0.0, 0.25, 0.7])),
         history_every=draw(st.integers(1, 500)),
@@ -320,6 +319,16 @@ def test_snapshot_format(fast_run):
     )
     # the timed snapshot was also written
     assert any(f.startswith("snapshot_t0.15") for f in os.listdir(out))
+
+
+def test_snapshots_land_on_their_times(tmp_path):
+    # dt = 0.02: a clipped step ends on each time, and the header says so
+    cfg = replace(FAST_1D, snapshots=(0.1000001, 0.15))
+    res = run_simulation(cfg, outdir=str(tmp_path))
+    for s in cfg.snapshots:
+        with open(tmp_path / f"snapshot_t{s:g}.txt") as fh:
+            assert fh.readline() == f"# t = {s!r}\n"
+    assert res.t == cfg.tfinal and res.nsteps == 17
 
 
 def test_snapshot_format_2d(tmp_path):
@@ -657,11 +666,12 @@ def test_cli_rejects_degenerate_config(capsys, tmp_path, cfg, words):
         ("run.snapshots = 0.1000001,0.1000002",
          "[0.1000001, 0.1000002] would share"),
         ("run.theta = 0.5", "run.theta"),
+        ("run.rk = tvd3", "run.rk"),
     ],
     ids=["float-degree", "typo-key", "word-in-float", "word-in-wave",
          "word-in-snapshots", "probe-outside", "unknown-exact", "negative-mu",
          "nan-mu", "negative-tfinal", "snapshot-after-tfinal",
-         "snapshots-share-a-file", "theta"],
+         "snapshots-share-a-file", "theta", "rk"],
 )
 def test_cli_rejects_config_text(capsys, tmp_path, line, words):
     cfgfile = tmp_path / "bad.cfg"
@@ -673,14 +683,15 @@ def test_cli_rejects_config_text(capsys, tmp_path, line, words):
 
 
 def test_cli_rejects_the_keys_of_an_older_config(capsys, tmp_path):
-    # config.cfg files saved before the two-stage weights were fixed and the
-    # exact field was derived from the problem carry these two lines
+    # config.cfg files saved before the two-stage weights were fixed, the
+    # exact field was derived from the problem and rkdg was always RK4 carry
+    # these three lines
     cfgfile = tmp_path / "old.cfg"
     save_config(cfgfile, FAST_1D)
     with open(cfgfile, "a") as fh:
-        fh.write("run.exact = auto\nrun.theta = 0.3333333333333333\n")
+        fh.write("run.exact = auto\nrun.theta = 0.3333333333333333\nrun.rk = rk4\n")
     assert main(["run", "--config", str(cfgfile)]) == 2
-    assert ("unknown or unused config keys: run.exact, run.theta"
+    assert ("unknown or unused config keys: run.exact, run.rk, run.theta"
             in capsys.readouterr().err)
 
 

@@ -277,6 +277,17 @@ def test_profile_save_load_roundtrip(tmp_path, prof_2d_quintic):
     assert wave_ode_residual(back) < 1e-10
 
 
+def _assert_same_doubles(back, prof):
+    for key in ("r", "p", "w"):
+        assert getattr(back, key).tobytes() == getattr(prof, key).tobytes(), key
+
+
+def test_profile_reload_gives_the_same_doubles(tmp_path, prof_1d, prof_2d_quintic):
+    for i, prof in enumerate((prof_1d, prof_2d_quintic)):
+        save_profile(tmp_path / f"wave{i}.txt", prof)
+        _assert_same_doubles(load_profile(tmp_path / f"wave{i}.txt"), prof)
+
+
 @pytest.mark.parametrize("S", [0, 1])
 def test_profile_roundtrip_evaluates_identically(tmp_path, S):
     prof = solve_standing_wave(0.8, dim=2, S=S)
@@ -286,14 +297,17 @@ def test_profile_roundtrip_evaluates_identically(tmp_path, S):
     tol = 1e-14 * np.abs(prof.phi(r)).max()
     for a, b in zip(load_profile(path).phi_chi(r), prof.phi_chi(r)):
         np.testing.assert_allclose(a, b, rtol=0, atol=tol)
-    # a file without the exact r = 0 values, or any other header line, is
-    # refused by name
-    lines = path.read_text().splitlines(keepends=True)
-    for key in ("p0", "w0", "omega"):
-        path.write_text("".join(ln for ln in lines
-                                if not ln.startswith(f"# {key} =")))
-        with pytest.raises(ConfigError, match=repr(key)):
-            load_profile(path)
+    _assert_same_doubles(load_profile(path), prof)
+    # a file without a header line is refused by name, and one of the
+    # former r phi chi columns by its format
+    text = path.read_text()
+    path.write_text("".join(ln for ln in text.splitlines(keepends=True)
+                            if not ln.startswith("# omega =")))
+    with pytest.raises(ConfigError, match="'omega'"):
+        load_profile(path)
+    path.write_text(text.replace("# columns: r p w", "# columns: r phi chi"))
+    with pytest.raises(ConfigError, match="'columns: r p w' format"):
+        load_profile(path)
 
 
 # --------------------------------------------------------------------------
