@@ -3,7 +3,7 @@
 Subcommands::
 
     diracdg run       --preset ex42-error-history --out results/
-    diracdg converge  --preset ex41-accuracy --cells 100,200,400 --jobs 3
+    diracdg converge  --preset ex41-accuracy --cells 100,200,400
     diracdg cost      --q 3 --cells 1000 --steps 100
     diracdg wave      --omega 0.8 --dim 2 --out profile.txt
 
@@ -36,8 +36,8 @@ from .runner import (
     config_from_flat,
     config_to_flat,
     converge_study,
-    parse_config_text,
     preset_config,
+    read_config_file,
     run_simulation,
 )
 from .waves import decay_rate, profile_charge, save_profile, solve_standing_wave
@@ -71,8 +71,6 @@ def build_parser():
 
     p_conv = sub.add_parser("converge", help="mesh refinement study")
     _add_common(p_conv)
-    p_conv.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers, one level each")
     p_conv.set_defaults(func=cmd_converge)
 
     p_cost = sub.add_parser("cost", help="per-step operation-count model")
@@ -107,8 +105,7 @@ def _resolve_config(args) -> RunConfig:
     base = preset_config(args.preset, args.full_scale) if args.preset else RunConfig()
     flat = config_to_flat(base)
     if args.config:
-        with open(args.config) as fh:
-            flat.update(parse_config_text(fh.read()))
+        flat.update(read_config_file(args.config))
     cells = args.cells if args.command == "run" else None
     flags = {
         "run.mu": args.mu, "run.tfinal": args.tfinal, "run.scheme": args.scheme,
@@ -143,7 +140,7 @@ def cmd_converge(args) -> int:
         cells = args.cells.split(",")
     else:
         cells = [20, 40, 80] if cfg.dim == 2 else [100, 200, 400]
-    study = converge_study(cfg, cells, jobs=args.jobs)
+    study = converge_study(cfg, cells)
     table = order_table(study["cells"], study["l2"], label=f"{cfg.label} L2")
     print(table)
     if args.out:

@@ -23,11 +23,14 @@ class BlowupError(DiracDGError):
     """Time stepping produced non-finite or absurdly large coefficients."""
 
     def __init__(self, t: float, detail: str = ""):
-        self.t = t
+        self.t, self.detail = t, detail
         msg = f"solution blew up at t={t:.6g}"
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
+
+    def __reduce__(self):  # pickled as the arguments, not the message
+        return type(self), (self.t, self.detail)
 
 
 class NoConvergence(DiracDGError):
@@ -35,11 +38,12 @@ class NoConvergence(DiracDGError):
     it must not return (`what` names the failure)."""
 
     def __init__(self, iterations: int, residual: float, what: str = "no convergence"):
-        self.iterations = iterations
-        self.residual = residual
-        super().__init__(
-            f"{what} after {iterations} iterations (residual {residual:.3e})"
-        )
+        self.iterations, self.residual, self.what = iterations, residual, what
+        super().__init__(f"{what} after {iterations} iterations "
+                         f"(residual {residual:.3e})")
+
+    def __reduce__(self):
+        return type(self), (self.iterations, self.residual, self.what)
 
 
 class InsufficientLevels(DiracDGError):

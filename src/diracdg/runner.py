@@ -11,11 +11,11 @@ Config files are plain ``section.key = value`` lines; see `save_config` /
 `load_config`.  Each value is read once, by `_typed`, as the type of its
 field's default: a string verbatim, an integer (``2.0`` reads as 2), a
 finite float, or a comma list of floats for ``run.snapshots``.  A word or
-fraction where a number or integer belongs, a key no field uses, and a
-value or combination `_validate` rejects (a probe off the grid, waves in
-the manufactured problem, ...) raise `ConfigError`; the CLI reads its
-flags through the same path and exits 2 on it.  The bundled presets,
-the standard experiment set, are one table, `PRESETS`: each name maps to
+fraction where a number or integer belongs, a key no field uses, a file
+that is not UTF-8, and a value or combination `_validate` rejects (a
+probe off the grid, waves in the manufactured problem, ...) raise
+`ConfigError`; the CLI reads its flags through the same path and exits 2
+on it.  The bundled presets are one table, `PRESETS`: each name maps to
 a description, a desk-scale config and the fields that `full_scale=True`
 changes to restore the published domain, resolution and final time.
 """
@@ -233,7 +233,7 @@ def _format_value(v) -> str:
 
 def save_config(path, cfg: RunConfig):
     flat = config_to_flat(cfg)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("# diracdg run configuration\n")
         for key in sorted(flat):
             fh.write(f"{key} = {_format_value(flat[key])}\n")
@@ -252,9 +252,17 @@ def parse_config_text(text: str) -> dict:
     return flat
 
 
+def read_config_file(path) -> dict:
+    """The flat config of the file at `path`, which must be UTF-8 text."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse_config_text(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
+
+
 def load_config(path) -> RunConfig:
-    with open(path) as fh:
-        return config_from_flat(parse_config_text(fh.read()))
+    return config_from_flat(read_config_file(path))
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +414,8 @@ def run_simulation(cfg: RunConfig, outdir=None) -> RunResult:
     return res
 
 
-def converge_study(cfg: RunConfig, cells, jobs: int = 1):
-    """Errors/orders under mesh refinement; needs an exact solution."""
+def converge_study(cfg: RunConfig, cells):
+    """Errors/orders under mesh refinement, level by level; needs an exact solution."""
     if cfg.exact_kind() == "none":
         raise ConfigError("convergence study needs a computable exact solution")
     cells = [_typed("grid.nx", n) for n in cells]
@@ -415,19 +423,10 @@ def converge_study(cfg: RunConfig, cells, jobs: int = 1):
         raise ConfigError(f"convergence study needs two or more mesh levels: {cells}")
     if len(set(cells)) < len(cells) or min(cells) < 1:
         raise ConfigError(f"mesh levels must be distinct and >= 1: {cells}")
-    if jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     configs = [
         replace(cfg, nx=n, ny=n if cfg.dim == 2 else cfg.ny) for n in cells
     ]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # a forking pool starts all its workers at the first submit
-        with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
-            pairs = list(pool.map(_errors_of, configs))
-    else:
-        pairs = [_errors_of(c) for c in configs]
+    pairs = [_errors_of(c) for c in configs]
     l2 = [p[0] for p in pairs]
     linf = [p[1] for p in pairs]
     orders = list(convergence_orders(l2, cells))

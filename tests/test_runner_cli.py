@@ -388,45 +388,18 @@ def test_converge_study_needs_exact():
         converge_study(cfg, [20, 40])
 
 
-def test_converge_study_checks_levels_and_jobs_before_running(monkeypatch):
+def test_converge_study_checks_levels_before_running(monkeypatch):
     def no_run(cfg):
         raise AssertionError("a level ran")
 
     monkeypatch.setattr(runner, "_errors_of", no_run)
     cfg = replace(FAST_1D, nx=0)
-    for cells, jobs, words in (([40], 1, "two or more"), ([], 1, "two or more"),
-                               ([20, 40], 0, "--jobs"), ([20, 40], -2, "--jobs"),
-                               ([40, 40], 1, "distinct"), ([20, 40, 20], 1, "distinct"),
-                               ([0, 20], 1, ">= 1"), ([20, 40.5], 1, "grid.nx"),
-                               ([20, "abc"], 1, "grid.nx")):
+    for cells, words in (([40], "two or more"), ([], "two or more"),
+                         ([40, 40], "distinct"), ([20, 40, 20], "distinct"),
+                         ([0, 20], ">= 1"), ([20, 40.5], "grid.nx"),
+                         ([20, "abc"], "grid.nx")):
         with pytest.raises(ConfigError, match=words):
-            converge_study(cfg, cells, jobs=jobs)
-
-
-def test_converge_study_pool_has_one_worker_per_level(monkeypatch):
-    import concurrent.futures
-
-    seen = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(runner, "_errors_of", lambda cfg: (1.0 / cfg.nx, 2.0 / cfg.nx))
-    study = converge_study(replace(FAST_1D, nx=0), [20, 40, 80], jobs=64)
-    assert seen == [3]
-    assert study["l2"] == [1 / 20, 1 / 40, 1 / 80]
-    assert study["orders"] == [1.0, 1.0]
+            converge_study(cfg, cells)
 
 
 def test_converge_study_orders_follow_the_ladder(monkeypatch):
@@ -580,7 +553,9 @@ def test_cli_converge(capsys, tmp_path):
     assert len(lines) == 3
 
 
-def test_cli_blowup_exit_code(capsys, tmp_path):
+@pytest.mark.parametrize("command", [["run"], ["converge", "--cells", "20,40"]],
+                         ids=["run", "converge"])
+def test_cli_blowup_exit_code(capsys, tmp_path, command):
     wild = RunConfig(
         label="wild", dim=1, scheme="rkdg", q=2, xmin=-10.0, xmax=10.0,
         nx=40, tfinal=20.0, mu=9.0, waves=(WaveSpec(omega=0.8),),
@@ -588,7 +563,7 @@ def test_cli_blowup_exit_code(capsys, tmp_path):
     cfgfile = tmp_path / "wild.cfg"
     save_config(cfgfile, wild)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["run", "--config", str(cfgfile)]) == 3
+        assert main([command[0], "--config", str(cfgfile), *command[1:]]) == 3
     assert "numerical failure" in capsys.readouterr().err
 
 
@@ -702,8 +677,6 @@ def test_cli_rejects_the_keys_of_an_older_config(capsys, tmp_path):
         (["run", "--config", "{cfg}", "--cells", "100,200"], "grid.nx"),
         (["converge", "--config", "{cfg}", "--cells", "10,abc"], "grid.nx"),
         (["converge", "--config", "{cfg}", "--cells", "40"], "two or more"),
-        (["converge", "--config", "{cfg}", "--cells", "20,40", "--jobs", "0"],
-         "--jobs"),
         (["converge", "--config", "{cfg}", "--cells", "40,40"], "distinct"),
         (["run", "--config", "{cfg}", "--mu", "-3"], "run.mu"),
         (["run", "--config", "{cfg}", "--mu", "inf"], "run.mu"),
@@ -712,8 +685,8 @@ def test_cli_rejects_the_keys_of_an_older_config(capsys, tmp_path):
         (["run", "--preset", "ex43-mms", "--v", "0.1"], "ic.wave1.v"),
     ],
     ids=["word-cells", "cells-list", "converge-word-cells", "converge-one-level",
-         "converge-no-jobs", "converge-repeated-level", "negative-mu",
-         "infinite-mu", "full-scale-no-preset", "mms-omega", "mms-v"],
+         "converge-repeated-level", "negative-mu", "infinite-mu",
+         "full-scale-no-preset", "mms-omega", "mms-v"],
 )
 def test_cli_rejects_flags(capsys, tmp_path, argv, words):
     cfgfile = tmp_path / "fast.cfg"
@@ -777,21 +750,28 @@ def test_config_from_flat_rejects_unused_keys():
             config_from_flat(flat)
 
 
-@pytest.mark.parametrize("flag", ["--deterministic", "--jobs"])
-def test_cli_run_rejects_removed_flags(capsys, tmp_path, flag):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["run", "--deterministic"], id="--deterministic"),
+    pytest.param(["run", "--jobs", "7"], id="--jobs"),
+    pytest.param(["converge", "--cells", "20,40", "--jobs", "3"], id="converge-jobs"),
+])
+def test_cli_run_rejects_removed_flags(capsys, tmp_path, argv):
     cfgfile = tmp_path / "fast.cfg"
     save_config(cfgfile, FAST_1D)
-    argv = ["run", "--config", str(cfgfile), flag] + (["7"] if flag == "--jobs" else [])
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main([argv[0], "--config", str(cfgfile), *argv[1:]])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_cli_converge_keeps_jobs():
-    args = build_parser().parse_args(["converge", "--preset", "ex41-accuracy",
-                                      "--jobs", "3"])
-    assert args.jobs == 3
+def test_a_config_file_that_is_not_utf8_is_a_config_error(capsys, tmp_path):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_bytes(b"run.label = caf\xe9\n")
+    with pytest.raises(ConfigError, match="bad.cfg is not UTF-8 text"):
+        load_config(cfgfile)
+    assert main(["run", "--preset", "ex41-accuracy", "--config", str(cfgfile)]) == 2
+    assert (f"error: config file {cfgfile} is not UTF-8 text"
+            in capsys.readouterr().err)
 
 
 def test_cli_missing_config_file(capsys):
