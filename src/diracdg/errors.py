@@ -1,4 +1,5 @@
-"""Exception types shared across the solver suite."""
+"""Exception types shared across the solver suite, and the one UTF-8 text
+reader that turns an undecodable file into a `ConfigError`."""
 
 from __future__ import annotations
 
@@ -17,6 +18,16 @@ class DomainError(DiracDGError):
 
 class ConfigError(DiracDGError):
     """Invalid or inconsistent run configuration (bad scheme name, unknown key, ...)."""
+
+
+def read_text(path, what: str) -> str:
+    """The text of the UTF-8 file at `path`.  A file that does not decode
+    raises `ConfigError`, naming it as `what` ("config file", ...) and its path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not UTF-8 text: {exc}") from None
 
 
 class BlowupError(DiracDGError):

@@ -15,9 +15,12 @@ fraction where a number or integer belongs, a key no field uses, a file
 that is not UTF-8, and a value or combination `_validate` rejects (a
 probe off the grid, waves in the manufactured problem, ...) raise
 `ConfigError`; the CLI reads its flags through the same path and exits 2
-on it.  The bundled presets are one table, `PRESETS`: each name maps to
-a description, a desk-scale config and the fields that `full_scale=True`
-changes to restore the published domain, resolution and final time.
+on it.  Config and history files (and, in `waves`, profile files) are read
+as UTF-8 by `errors.read_text`, so one of the three that does not decode
+raises `ConfigError` naming the kind of file and its path.  The bundled
+presets are one table, `PRESETS`: each name maps to a description, a
+desk-scale config and the fields that `full_scale=True` changes to restore
+the published domain, resolution and final time.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .diagnostics import (
     total_charge,
     total_energy,
 )
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 from .heap import keep_freed_heap_mapped
 from .integrators import cfl_dt, default_mu, evolve, rk4_step
 from .lwdg import lwdg_step
@@ -254,11 +257,7 @@ def parse_config_text(text: str) -> dict:
 
 def read_config_file(path) -> dict:
     """The flat config of the file at `path`, which must be UTF-8 text."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_config_text(fh.read())
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
+    return parse_config_text(read_text(path, "config file"))
 
 
 def load_config(path) -> RunConfig:
@@ -296,32 +295,28 @@ def build_space(cfg: RunConfig):
     )
 
 
-def _wave_specs(cfg: RunConfig):
-    return [
+def _field(cfg: RunConfig, t: float):
+    """The problem's field at time t, as a function of the space's
+    coordinates: the manufactured field for ic.type = mms, else the sum of
+    the config's waves."""
+    if cfg.ic == "mms":
+        return lambda x, y: mms_state(x, y, t)
+    if not cfg.waves:
+        raise ConfigError("ic.type = waves needs a wave: no ic.wave1.omega given")
+    specs = [
         {"profile": _get_profile(wv, cfg), "v": wv.v, "x0": wv.x0, "y0": wv.y0}
         for wv in cfg.waves
     ]
-
-
-def _field(cfg: RunConfig, kind: str, t: float):
-    """The manufactured field ("mms") or the superposed waves ("waves") at
-    time t, as a function of the space's coordinates."""
-    if kind == "mms":
-        return lambda x, y: mms_state(x, y, t)
-    specs = _wave_specs(cfg)
     return lambda *xy: superposed_real(specs, t, *xy)
 
 
 def exact_state_fn(cfg: RunConfig, t: float):
     """Callable exact solution at time t, or None."""
-    kind = cfg.exact_kind()
-    return None if kind == "none" else _field(cfg, kind, t)
+    return None if cfg.exact_kind() == "none" else _field(cfg, t)
 
 
 def initial_state(cfg: RunConfig, space):
-    if cfg.ic == "waves" and not cfg.waves:
-        raise ConfigError("ic.type = waves needs a wave: no ic.wave1.omega given")
-    return space.project(_field(cfg, cfg.ic, 0.0))
+    return space.project(_field(cfg, 0.0))
 
 
 def make_stepper(cfg: RunConfig, space, model, source):
@@ -358,7 +353,7 @@ def run_simulation(cfg: RunConfig, outdir=None) -> RunResult:
     keep_freed_heap_mapped()
     space = build_space(cfg)
     model = cfg.model()
-    source = MMSSource(model) if cfg.source == "mms" else None
+    source = MMSSource(model) if cfg.ic == "mms" else None
     u0 = initial_state(cfg, space)
     step = make_stepper(cfg, space, model, source)
     dt = cfl_dt(space, cfg.effective_mu())
@@ -465,12 +460,13 @@ def write_snapshot(path, space, coeffs, t):
 
 
 def read_history(path):
-    """The rows of a history file; one without rows gives array([])."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != HISTORY_HEADER:
-            raise ConfigError(f"unexpected history header: {header!r}")
-        rows = [line for line in fh if line.strip()]
+    """The rows of a history file, which must be UTF-8 text; one without
+    rows gives array([])."""
+    lines = read_text(path, "history file").splitlines()
+    header = lines[0].strip() if lines else ""
+    if header != HISTORY_HEADER:
+        raise ConfigError(f"unexpected history header: {header!r}")
+    rows = [line for line in lines[1:] if line.strip()]
     return np.loadtxt(rows, delimiter=",", ndmin=2) if rows else np.array([])
 
 

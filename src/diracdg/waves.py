@@ -47,7 +47,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NoConvergence
+from .errors import ConfigError, DomainError, NoConvergence, read_text
 from .mesh import _jet_keys
 from .model import NLDModel, complex_to_real
 
@@ -403,8 +403,8 @@ def save_profile(path, profile: WaveProfile):
 
 
 def load_profile(path) -> WaveProfile:
-    with open(path) as fh:  # the `# ...` header lines
-        header = [ln.lstrip()[1:].strip() for ln in fh if ln.lstrip().startswith("#")]
+    lines = read_text(path, "profile file").splitlines()
+    header = [ln.lstrip()[1:].strip() for ln in lines if ln.lstrip().startswith("#")]
     if _PROFILE_COLUMNS not in header:
         raise ConfigError(f"profile file {path} is not in the '{_PROFILE_COLUMNS}' "
                           f"format; a file of r phi chi must be written again")
@@ -413,7 +413,7 @@ def load_profile(path) -> WaveProfile:
     for key in _PROFILE_KEYS:
         if key not in meta:
             raise ConfigError(f"profile file {path} has no {key!r} header line")
-    r, p, w = np.loadtxt(path, ndmin=2, unpack=True)
+    r, p, w = np.loadtxt(lines, ndmin=2, unpack=True)
     model = NLDModel(m=float(meta["m"]), lam=float(meta["lam"]),
                      kappa=float(meta["kappa"]))
     return WaveProfile(

@@ -1,6 +1,7 @@
 """Run orchestration, config files, artifact formats, CLI behaviour."""
 
 import os
+import re
 import time
 from dataclasses import replace
 
@@ -31,7 +32,7 @@ from diracdg.runner import (
     run_simulation,
     save_config,
 )
-from diracdg.waves import MMSSource, superposed_real
+from diracdg.waves import MMSSource, load_profile, superposed_real
 
 FAST_1D = RunConfig(
     label="fast", dim=1, scheme="rkdg", q=2, xmin=-10.0, xmax=10.0, nx=50,
@@ -154,7 +155,7 @@ def test_malformed_config_steps_or_raises(data):
         assert cfg.exact_kind() in ("none", cfg.ic)
         space = build_space(cfg)
         model = cfg.model()
-        source = MMSSource(model) if cfg.source == "mms" else None
+        source = MMSSource(model) if cfg.ic == "mms" else None
         step = make_stepper(cfg, space, model, source)
         with np.errstate(all="ignore"):
             step(initial_state(cfg, space), 0.0, cfl_dt(space, cfg.effective_mu()))
@@ -624,6 +625,21 @@ def test_cli_rejects_degenerate_config(capsys, tmp_path, cfg, words):
     assert words in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cfg", [FAST_1D, _FAST_MMS], ids=["one-wave-1d", "mms-2d"])
+def test_initial_state_projects_the_exact_field_at_zero(cfg):
+    space = build_space(cfg)
+    want = space.project(runner.exact_state_fn(cfg, 0.0))
+    assert initial_state(cfg, space).tobytes() == want.tobytes()
+
+
+def test_field_of_a_config_without_one_wave():
+    two = replace(FAST_1D, waves=(WaveSpec(x0=-3.0), WaveSpec(x0=3.0)))
+    assert runner.exact_state_fn(two, 0.0) is None
+    with pytest.raises(ConfigError, match="ic.type = waves needs a wave: no "
+                                          "ic.wave1.omega given"):
+        initial_state(replace(FAST_1D, waves=()), build_space(FAST_1D))
+
+
 @pytest.mark.parametrize(
     "line,words",
     [
@@ -772,6 +788,15 @@ def test_a_config_file_that_is_not_utf8_is_a_config_error(capsys, tmp_path):
     assert main(["run", "--preset", "ex41-accuracy", "--config", str(cfgfile)]) == 2
     assert (f"error: config file {cfgfile} is not UTF-8 text"
             in capsys.readouterr().err)
+    # the history and profile readers decode through the same reader
+    for read, what, text in (
+        (read_history, "history file", b"t,Q_h,E_h,Q_rela,E_rela\n0,1,1,0,\xe9\n"),
+        (load_profile, "profile file", b"# caf\xe9\n1 2 3\n"),
+    ):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(text)
+        with pytest.raises(ConfigError, match=re.escape(f"{what} {path} is not UTF-8")):
+            read(path)
 
 
 def test_cli_missing_config_file(capsys):
