@@ -438,13 +438,12 @@ _HERMITE = (
 )
 
 
-def _power_jet(x, y, t, p: int, E=None):
+def _power_jet(x, y, t, p: int):
     """(a, b, c) -> d_x^a d_y^b d_t^c phi^p for an integer p >= 1 and
-    a, b <= 3, where phi^p = t^(4p) E^p and E = exp(-5(x^2+y^2)) (pass E to
-    share it between powers).  E^p is taken by repeated multiplication, and
-    each derivative is formed once, when first asked for."""
-    if E is None:
-        E = np.exp(-5.0 * (x * x + y * y))
+    a, b <= 3, where phi^p = t^(4p) E^p and E = exp(-5(x^2+y^2)).  E^p is
+    taken by repeated multiplication, and each derivative is formed once,
+    when first asked for."""
+    E = np.exp(-5.0 * (x * x + y * y))
     Ep = E
     for _ in range(p - 1):
         Ep = Ep * E
@@ -475,14 +474,49 @@ def mms_space_jet(x, y, t):
     return {k: _mms_field(phi(k.count("x"), k.count("y"), 0)) for k in _jet_keys("xy", 3)}
 
 
-def _mms_assemble(ft, fx, fy, G):
-    """Real-form forcing from one derivative of (phi, g phi); see MMSSource."""
-    return np.stack([
-        MMS_C1 * ft + MMS_C2 * fx,
-        MMS_C2 * ft + MMS_C1 * fx,
-        -MMS_C2 * fy + MMS_C1 * G,
-        MMS_C1 * fy - MMS_C2 * G,
-    ])
+# The rows of a point set's factor block: S_ab is "ab" and S^p_ab is "abp".
+# The four factors a key reads, S_ab, S_(a+1)b, S_a(b+1) and S^p_ab, lie on
+# equally spaced rows, so each key is one matrix product over a strided view.
+_FACTOR_ROWS = ("11", "00", "00p", "10", "01", "21", "10p", "30",
+                "01p", "20", "11p", "20p", "02", "03", "02p", "12")
+
+
+def _gaussian_factors(x, y, p: int):
+    """(a, b) -> the factors S_ab, S_(a+1)b, S_a(b+1) and S^p_ab as a
+    (4, *points) view, and which of the four each row holds, where
+    S^k_ab = h_a(x; 5k) h_b(y; 5k) E^k with E = exp(-5(x^2+y^2)) is the
+    t-independent factor of d_x^a d_y^b phi^k.  Each row is made once, when
+    first asked for; E^p is taken by repeated multiplication."""
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    block = np.empty((len(_FACTOR_ROWS), *shape))
+    made = set()
+
+    def row(name: str) -> int:
+        i = _FACTOR_ROWS.index(name)
+        if i in made:
+            return i
+        a, b, power = int(name[0]), int(name[1]), name[2:]
+        k = p if power else 1
+        if a or b:
+            s = 5.0 * k
+            np.multiply(_HERMITE[a](x, s) * _HERMITE[b](y, s),
+                        block[row("00" + power)], out=block[i])
+        elif k == 1:
+            np.exp(-5.0 * (x * x + y * y), out=block[i])
+        else:
+            E = block[row("00")]
+            np.multiply(E, E, out=block[i])
+            for _ in range(k - 2):
+                np.multiply(block[i], E, out=block[i])
+        made.add(i)
+        return i
+
+    def factors(a: int, b: int):
+        at = [row(n) for n in (f"{a}{b}", f"{a + 1}{b}", f"{a}{b + 1}", f"{a}{b}p")]
+        lo, step = min(at), (max(at) - min(at)) // 3
+        return block[lo : max(at) + 1 : step], np.argsort(at)
+
+    return factors
 
 
 # the source keys in the order the depths add them: the value at depth 0,
@@ -507,8 +541,23 @@ class MMSSource:
         p = 2 kappa + 1,   c_p = -(kappa + 1) lam sig^kappa,
 
     and phi^p = t^(4p) exp(-5p (x^2+y^2)) is again a power of t times a
-    Gaussian, so each derivative d_x^a d_y^b d_t^c phi^p is the c-th
-    derivative of t^(4p) times h_a(x; 5p) h_b(y; 5p) exp(-5p (x^2+y^2)).
+    Gaussian.  So each derivative factors into a weight in t and a factor
+    in (x, y) alone,
+
+        d_x^a d_y^b d_t^c phi^k = perm(4k, c) t^(4k-c) S^k_ab,
+        S^k_ab = h_a(x; 5k) h_b(y; 5k) exp(-5k (x^2+y^2)),
+
+    and the key (a, b, c) of R is a sum of S_ab, S_(a+1)b, S_a(b+1) and
+    S^p_ab (S = S^1) with scalar weights made of those t factors and c1,
+    c2, m and c_p: one product of a 4 x 4 weight matrix with those four
+    factors, written straight into the key's (4, ...) array (with a matrix
+    per point when t is an array of times per point).  The factors
+    S_ab (a + b <= 3) and S^p_ab (a + b <= 2) are kept per point set: 16
+    full arrays of the points' shape, as rows of one block, each made when
+    first used, for the latest three point sets (the volume and the two edge
+    sets of a step), 12.4 MB in all at 80^2 P2.  A point set is known by the
+    identity of its x and y arrays, which the source holds, so they must not
+    be changed in place while it is in use.
     """
 
     def __init__(self, model: NLDModel):
@@ -519,19 +568,47 @@ class MMSSource:
         self.model = model
         self.p = 2 * int(kappa) + 1
         self.cp = -(kappa + 1.0) * model.lam * _MMS_SIG ** int(kappa)
+        c1, c2, m, cp = MMS_C1, MMS_C2, model.m, self.cp
+        # R over (S_ab, S_(a+1)b, S_a(b+1), S^p_ab) is the sum of these
+        # matrices times d_t^(c+1) t^4, d_t^c t^4 and d_t^c t^(4p)
+        self._weights = (
+            np.array([[c1, 0, 0, 0], [c2, 0, 0, 0],
+                      [0, 0, 0, 0], [0, 0, 0, 0]]),
+            np.array([[0, c2, 0, 0], [0, c1, 0, 0],
+                      [c1 * m, 0, -c2, 0], [-c2 * m, 0, c1, 0]]),
+            np.array([[0, 0, 0, 0], [0, 0, 0, 0],
+                      [0, 0, 0, c1 * cp], [0, 0, 0, -c2 * cp]]),
+        )
+        self._point_sets = []  # (x, y, factors), the latest last
+
+    def _factors(self, x, y):
+        for px, py, factors in self._point_sets:
+            if px is x and py is y:
+                return factors
+        factors = _gaussian_factors(x, y, self.p)
+        # the latest three: a step's volume points and each axis's edge points
+        self._point_sets = self._point_sets[-2:] + [(x, y, factors)]
+        return factors
 
     def jet(self, x, y, t, depth: int = 3):
         """Source derivatives at the points (x, y): depth 0 gives only
         'val', depth 1 adds 't', depth 3 every key `cascade.time_jet` and
         `lwdg.taylor_state` read."""
-        E = np.exp(-5.0 * (x * x + y * y))
-        phi, phip = _power_jet(x, y, t, 1, E), _power_jet(x, y, t, self.p, E)
+        factors, p = self._factors(x, y), self.p
+        # d^c/dt^c of t^4 and of t^(4p), per point when t is an array
+        w = [math.perm(4, c) * t ** (4 - c) for c in range(5)]
+        wp = [math.perm(4 * p, c) * t ** (4 * p - c) for c in range(4)]
         out = {}
         for key in _MMS_KEYS[: depth + 1] if depth < 2 else _MMS_KEYS:
             a, b, c = (key.count(axis) for axis in "xyt")  # none in "val"
-            G = self.model.m * phi(a, b, c) + self.cp * phip(a, b, c)
-            out[key] = _mms_assemble(phi(a, b, c + 1), phi(a + 1, b, c),
-                                     phi(a, b + 1, c), G)
+            rows, holds = factors(a, b)
+            W = sum(np.multiply.outer(M, s) for M, s in
+                    zip(self._weights, (w[c + 1], w[c], wp[c])))[:, holds]
+            r = out[key] = np.empty(rows.shape)
+            if W.ndim == 2:
+                np.matmul(W, rows.reshape(4, -1), out=r.reshape(4, -1))
+            else:  # a weight matrix per point
+                np.einsum("ij...,j...->i...", W, rows, out=r)
         return out
 
     def values(self, space, t):

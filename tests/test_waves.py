@@ -18,7 +18,10 @@ import pytest
 from diracdg.errors import ConfigError, DomainError
 from diracdg.model import NLDModel
 from diracdg.waves import (
+    MMS_C1,
+    MMS_C2,
     MMSSource,
+    _power_jet,
     decay_rate,
     load_profile,
     mms_space_jet,
@@ -365,6 +368,68 @@ def test_mms_jet_depths_agree_bit_for_bit(kappa):
                 assert list(shallow) == list(deep)[: depth + 1]
                 for key, val in shallow.items():
                     assert val.tobytes() == deep[key].tobytes(), (depth, key)
+
+
+def _reference_mms_jet(src, x, y, t, keys):
+    """The source from `_power_jet`: each derivative of phi and phi^p formed
+    whole, then R assembled as in the MMSSource docstring."""
+    phi, phip = _power_jet(x, y, t, 1), _power_jet(x, y, t, src.p)
+    out = {}
+    for key in keys:
+        a, b, c = (key.count(axis) for axis in "xyt")
+        ft, fx, fy = phi(a, b, c + 1), phi(a + 1, b, c), phi(a, b + 1, c)
+        G = src.model.m * phi(a, b, c) + src.cp * phip(a, b, c)
+        out[key] = np.stack([MMS_C1 * ft + MMS_C2 * fx, MMS_C2 * ft + MMS_C1 * fx,
+                             -MMS_C2 * fy + MMS_C1 * G, MMS_C1 * fy - MMS_C2 * G])
+    return out
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1.0, 2.0, 3.0])
+def test_mms_jet_equals_the_power_jet_reference(kappa):
+    # the cached factors re-associate each product, so the two agree to
+    # rounding: within 1e-14 of each key's largest entry, also with a time
+    # per point
+    from diracdg.mesh import DGSpace2D, Grid2D
+
+    space = DGSpace2D(Grid2D(-2.0, 2.0, 7, -1.5, 2.5, 5), 2)
+    src = MMSSource(NLDModel(kappa=kappa))
+    rng = np.random.default_rng(19)
+    keys = ["val", "t", "x", "y", "xx", "xy", "yy", "tx", "ty", "tt", "ttt"]
+    for points in (space.points, *space.edge_points.values()):
+        per_point = rng.uniform(0.0, 1.0, np.broadcast_shapes(*map(np.shape, points)))
+        for t in (0.0, 0.03, 1.0, per_point):
+            want = _reference_mms_jet(src, *points, t, keys)
+            for depth, n in ((0, 1), (1, 2), (3, len(keys))):
+                got = src.jet(*points, t, depth=depth)
+                assert list(got) == keys[:n]
+                for key, val in got.items():
+                    assert val.shape == want[key].shape
+                    err = np.abs(val - want[key]).max()
+                    assert err <= 1e-14 * np.abs(want[key]).max(), (depth, key)
+
+
+def test_mms_jet_on_copied_points_is_the_same_bits():
+    from diracdg.mesh import DGSpace2D, Grid2D
+
+    space = DGSpace2D(Grid2D(-2.0, 2.0, 7, -1.5, 2.5, 5), 2)
+    src = MMSSource(NLDModel(kappa=2.0))
+    x, y = space.points
+    own = src.jet(x, y, 0.35)
+    copied = src.jet(x.copy(), y.copy(), 0.35)
+    assert list(copied) == list(own)
+    for key, val in own.items():
+        assert copied[key].tobytes() == val.tobytes(), key
+
+
+def test_mms_source_keeps_factors_for_three_point_sets():
+    src, rng = MMSSource(NLDModel()), np.random.default_rng(19)
+    for n in range(5):
+        x, y = rng.uniform(-1, 1, (2, 10 + n))
+        src.jet(x, y, 0.5, depth=1)
+        assert len(src._point_sets) == min(n + 1, 3)
+    held = list(src._point_sets)
+    src.jet(x, y, 0.7, depth=3)  # the latest set again: no new factors
+    assert src._point_sets == held
 
 
 def test_mms_source_needs_an_integer_kappa():
