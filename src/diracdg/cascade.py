@@ -4,19 +4,35 @@ Every time derivative of u is traded for spatial ones through the equation
 itself, differentiated along a canonical key k (letters sorted, so t comes
 before x and x before y; "" is no derivative):
 
-    u_tk = -alpha u_kx - beta u_ky + M_k + R_k,      M(u) = g(rho) gamma u.
+    u_tk = -sum_d A_d u_kd + M_k + R_k,      M(u) = g(rho) gamma u,
 
-One recurrence over the directions present in the jet ("x", or "x" and
-"y") applies it for k = "", each direction, t, each direction pair, t plus
-each direction, and tt, so that u_t, u_tt and u_ttt come out in turn (at
-depth 1 only k = "" and M_t).  M_k follows from the product and chain
-rules through rho = <u, u> (the sigma3 pairing); one first-order and one
-second-order rule serve every key:
+with A_x = alpha, A_y = beta and d running over the directions present in
+the jet ("x", or "x" and "y").  One code path serves both dimensions:
+every sum below runs over those directions.  The rule is applied for
+k = "", each direction d and t, giving u_t, u_td and u_tt in turn (at
+depth 1 only k = "" and M_t).  u_ttt comes from the squared Dirac
+operator instead.  Applying the rule to u_tt and then to each u_ttd, the
+mixed terms cancel, since alpha^2 = beta^2 = I and alpha beta =
+-beta alpha, which leaves, for any input jet, forced or not,
 
-    rho_a  = 2 <u, u_a>,                    g_a  = g' rho_a
-    rho_ab = 2 (<u_a, u_b> + <u, u_ab>),    g_ab = g'' rho_a rho_b + g' rho_ab
-    M_a    = g_a gamma u + g gamma u_a
-    M_ab   = g_ab gamma u + g_a gamma u_b + g_b gamma u_a + g gamma u_ab
+    u_ttt = -sum_e A_e (sum_d u_dde) + M_lap + R_lap
+            - sum_d A_d (M_td + R_td) + M_tt + R_tt,
+
+with M_lap = sum_d M_dd and R_lap = sum_d R_dd.  So the mixed key xy
+(rho_xy, g_xy, M_xy) and u_txx, u_txy, u_tyy, u_ttx, u_tty are never
+formed (in 1D, u_txx and u_ttx), and the source's R_xy is not read.
+
+M_k follows from the product and chain rules through rho = <u, u> (the
+sigma3 pairing).  One first-order and one second-order rule serve every
+key, and the Laplacian key is the second-order rule summed over d:
+
+    rho_a   = 2 <u, u_a>,                    g_a = g' rho_a
+    rho_ab  = 2 (<u_a, u_b> + <u, u_ab>),    g_ab = g'' rho_a rho_b + g' rho_ab
+    rho_lap = 2 sum_d (<u_d, u_d> + <u, u_dd>)
+    g_lap   = g'' sum_d rho_d^2 + g' rho_lap
+    M_k     = gamma V_k,    V = g u,    V_a = g_a u + g u_a
+    V_ab    = g_ab u + g_a u_b + g_b u_a + g u_ab
+    V_lap   = g_lap u + 2 sum_d g_d u_d + g sum_d u_dd
 
 Only M_ttt, which the one-step scheme's volume Taylor sum needs, is
 written out:
@@ -24,25 +40,35 @@ written out:
     rho_ttt = 2 (3 <u_t, u_tt> + <u, u_ttt>)
     g_ttt   = g''' rho_t^3 + 3 g'' rho_t rho_tt + g' rho_ttt
 
+alpha, beta, gamma, sigma3 and their signed products are signed
+permutations, and applying one is exact.  So each key's g-weighted sum V_k
+is formed once, and gamma V_k, -A_d u and -A_d gamma V_td are added into
+the output as two strided row views each (`model.signed_rows`), with no
+gathered copy.  Each sigma3 pairing is one `np.einsum` against sigma3 a,
+with the sign folded in.  Every sum runs in the order of the per-key
+recurrence (u_ttt from u_ttd, from u_tde; the tests keep it as the
+reference), so u_t, u_td, u_tt, every output at depth 1 and every output
+in 1D have its bits; in 2D, u_ttt and M_ttt differ from it by rounding.
+
 All operations act on point values, so the same code serves volume
 quadrature points and cell-edge traces of every space dimension.
 
 Four rules keep the cascade cheap without changing a single bit of its
 output:
 
-* **Blocking.** One depth-3 call makes about a hundred temporaries the
-  size of its input.  `time_jet` therefore splits the point set along the
-  leading cell axis (axis 1 of every jet and source array) into equal
-  blocks of about `_BLOCK_POINTS` points, runs the cascade on each block
-  and writes the results into full-size arrays.  A block's temporaries
-  (about 30 MB) are far larger than cache; what blocking saves is the
-  full-mesh set of them, alive at once.  With the heap policy of
-  `diracdg.heap` the 200^2 P2 lwdg step measured 392-399 ms blocked
-  against 532-540 ms whole, at 369 MB peak RSS against 506 MB (2-core
-  Xeon, one BLAS thread).  A point set under one and a half blocks (1D
+* **Blocking.** One depth-3 call makes dozens of temporaries the size of
+  its input.  `time_jet` therefore splits the point set along the leading
+  cell axis (axis 1 of every jet and source array) into equal blocks of
+  about `_BLOCK_POINTS` points, runs the cascade on each block and writes
+  the results into full-size arrays.  A block's temporaries are far larger
+  than cache; what blocking saves is the full-mesh set of them, alive at
+  once.  With the heap policy of `diracdg.heap`, and the per-key
+  recurrence that the cascade ran then, the 200^2 P2 lwdg step measured
+  392-399 ms blocked against 532-540 ms whole, at 369 MB peak RSS against
+  506 MB (2-core Xeon, one BLAS thread).  A point set under one and a half blocks (1D
   meshes, 2D meshes up to about 50^2 at P2) goes straight through without
   copies, and so does every depth-1 call below the pool's size rule: with
-  about fifteen temporaries it gains little, and the forced 80^2 P2 tsdg
+  a dozen or so temporaries it gains little, and the forced 80^2 P2 tsdg
   step measured slower blocked.  Every operation is pointwise, so the
   blocked result equals the unblocked one exactly.
 * **Two threads for large point sets.**  A jet whose u holds at least
@@ -60,10 +86,12 @@ output:
   identically as the scalar 0.0 (g'' and g''' for kappa = 1, g''' for
   kappa = 2).  A product with such a coefficient is left out rather than
   built as an array of zeros.
-* **Early return.** With ``mttt=False`` the depth-3 cascade stops once
-  u_ttt is known and omits rho_ttt, g_ttt and M_ttt; the edge Taylor state
-  of the one-step scheme needs nothing more.  (M_tt cannot be dropped:
-  u_ttt depends on it.)
+* **Early return.** With ``m_jet=False`` the cascade returns no M: at
+  depth 1 it stops once u_t is known (no rho_t, g_t or V_t), at depth 3
+  once u_ttt is known (no rho_ttt, g_ttt or V_ttt), and it never applies
+  gamma to a V_k as a copy.  The edge states of both cascade schemes need
+  nothing more.  (V_t, V_td, V_lap and V_tt cannot be dropped: u_tt and
+  u_ttt depend on them.)
 
 The cascade is exact: fed the spatial jet of a solution of the (possibly
 forced) system, it returns that solution's exact time derivatives.  That
@@ -72,13 +100,13 @@ property is what the finite-difference oracle in the tests checks.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations_with_replacement
+from functools import reduce
 
 import numpy as np
 
 from . import pool
-from .model import apply_alpha, apply_beta, apply_gamma, sigma3_pair
+from .model import (ALPHA, BETA, GAMMA, GAMMA_ROWS, SIGMA3, add_rows, apply_rows,
+                    signed_rows)
 
 # Points per cascade block.  On a 2-core Xeon the 200^2 P2 lwdg step timed
 # alike for 8k-24k points, slower from 32k points up and, through
@@ -108,16 +136,17 @@ def _g_ttt(g1, g2, g3, rho_t, rho_tt, rho_ttt):
     return g3 * rho_t**3 + 3.0 * g2 * rho_t * rho_tt + g1 * rho_ttt
 
 
-def time_jet(space_jet, model, depth: int = 3, source=None, mttt: bool = True):
+def time_jet(space_jet, model, depth: int = 3, source=None, m_jet: bool = True):
     """Time derivatives of u and M(u) from a spatial jet at a point set.
 
     space_jet: dict with keys 'u', 'x' ('y'), and for depth 3 also
         'xx' ('xy', 'yy'), 'xxx' ('xxy', 'xyy', 'yyy'); arrays (4, ...).
-    source: dict of source derivatives with keys 'val', 'x' ('y'), 't',
-        and for depth 3 'xx' ('xy', 'yy'), 'tx' ('ty'), 'tt'; arrays of the
-        jet's shape, or None.
+    source: dict of source derivatives with keys 'val', 't', and for
+        depth 3 'x' ('y'), 'xx' ('yy'), 'tx' ('ty'), 'tt'; arrays of the
+        jet's shape, or None.  Other keys are not read.
     depth: 1 returns {'t', 'M', 'Mt'}; 3 adds {'tt', 'ttt', 'Mtt', 'Mttt'}.
-    mttt: at depth 3, False leaves out 'Mttt' (and the work behind it).
+    m_jet: False leaves out every M output ('M', 'Mt', and at depth 3
+        'Mtt', 'Mttt') and the work that only they need.
     """
     u = space_jet["u"]
     n = u.shape[1]
@@ -126,7 +155,7 @@ def time_jet(space_jet, model, depth: int = 3, source=None, mttt: bool = True):
     # whole, where copying out the results would cost more than it saves
     nblocks = min(n, round(n * u[0, 0].size / _BLOCK_POINTS))
     if nblocks <= 1 or (depth == 1 and not pooled):
-        return _time_jet_block(space_jet, model, depth, source, mttt)
+        return _time_jet_block(space_jet, model, depth, source, m_jet)
 
     def block(cut):
         return _time_jet_block(
@@ -134,7 +163,7 @@ def time_jet(space_jet, model, depth: int = 3, source=None, mttt: bool = True):
             model,
             depth,
             None if source is None else {k: v[cut] for k, v in source.items()},
-            mttt,
+            m_jet,
         )
 
     cuts = [(slice(None), slice(i * n // nblocks, (i + 1) * n // nblocks))
@@ -148,83 +177,107 @@ def time_jet(space_jet, model, depth: int = 3, source=None, mttt: bool = True):
     return out
 
 
-@lru_cache(maxsize=None)
-def _plan(dirs: str, depth: int):
-    """The cascade's steps for the directions `dirs` ("x" or "xy").
-
-    Step k forms M_k and, for len(k) < depth, u_tk; it carries the keys of
-    u_ka, one per direction a, the key of u_tk and the source key of R_k.
-    Steps run by length and, within a length, with fewer t's first, since
-    u_tk needs u_ka and the step with one t fewer forms it.
-    """
-    keys = {"t"} | {
-        "".join(c)
-        for n in range(depth)
-        for c in combinations_with_replacement("t" + dirs, n)
-    }
-    return tuple(
-        (k, tuple("".join(sorted(k + a)) for a in dirs),
-         "".join(sorted("t" + k)) if len(k) < depth else None, k or "val")
-        for k in sorted(keys, key=lambda k: (len(k), k.count("t"), k))
-    )
+# -A_d and -A_d gamma for each direction d, gamma and sigma3 as strided
+# row halves (A_x = alpha, A_y = beta)
+_MINUS_A = {"x": signed_rows(-ALPHA), "y": signed_rows(-BETA)}
+_MINUS_A_GAMMA = {"x": signed_rows(-ALPHA @ GAMMA), "y": signed_rows(-BETA @ GAMMA)}
+_SIGMA3 = signed_rows(SIGMA3)
 
 
-class _Gamma(dict):
-    """gamma u_key on first use, kept for u, u_t and u_tt, which recur."""
-
-    def __init__(self, U):
-        self.U = U
-
-    def __missing__(self, key):
-        out = apply_gamma(self.U[key])
-        if key in ("", "t", "tt"):
-            self[key] = out
-        return out
+def _pair(s, v):
+    """<a, v> from s = sigma3 a: the sign is folded into s."""
+    return np.einsum("i...,i...->...", s, v)
 
 
-def _time_jet_block(space_jet, model, depth, source, mttt):
+def _minus_A(dirs, terms):
+    """-sum_d A_d terms_d as a new array."""
+    out = apply_rows(_MINUS_A[dirs[0]], terms[0])
+    for d, v in zip(dirs[1:], terms[1:]):
+        add_rows(out, _MINUS_A[d], v)
+    return out
+
+
+def _u_tk(U, k, dirs, Vk, Rk):
+    """u_tk = -sum_d A_d u_kd + gamma V_k (+ R_k)."""
+    out = _minus_A(dirs, [U["".join(sorted(k + d))] for d in dirs])
+    add_rows(out, GAMMA_ROWS, Vk)
+    if Rk is not None:
+        out += Rk
+    return out
+
+
+def _weighted(g_ab, u, terms, g0, u_ab):
+    """V = g_ab u + sum c u_c over terms (c, u_c) + g0 u_ab, so M = gamma V."""
+    V = g_ab * u
+    for c, uc in terms:
+        V += c * uc
+    V += g0 * u_ab
+    return V
+
+
+def _time_jet_block(space_jet, model, depth, source, m_jet):
     u = space_jet["u"]
-    U = {**space_jet, "": u}
+    U = dict(space_jet)
+    dirs = [a for a in "xy" if a in space_jet]
     src = source or {}
-    g0, g1, g2, g3 = model.g_jet(sigma3_pair(u, u), depth)
-    G = _Gamma(U)
-    gu = G[""]
-    rho, g, M = {}, {}, {}
-    for k, adv, tk, sk in _plan("".join(a for a in "xy" if a in space_jet), depth):
-        if not k:
-            M[k] = g0 * gu
-        elif len(k) == 1:
-            rho[k] = 2.0 * sigma3_pair(u, U[k])
-            g[k] = g1 * rho[k]
-            M[k] = g[k] * gu + g0 * G[k]
-        else:
-            a, b = k
-            rho[k] = 2.0 * (sigma3_pair(U[a], U[b]) + sigma3_pair(u, U[k]))
-            g[k] = _g_ab(g1, g2, rho[a], rho[b], rho[k])
-            if a == b:
-                M[k] = g[k] * gu + 2.0 * g[a] * G[a] + g0 * G[k]
-            else:
-                M[k] = g[k] * gu + g[a] * G[b] + g[b] * G[a] + g0 * G[k]
-        if tk is not None:
-            utk = -apply_alpha(U[adv[0]])
-            if len(adv) == 2:
-                utk -= apply_beta(U[adv[1]])
-            utk += M[k]
-            if sk in src:
-                utk += src[sk]
-            U[tk] = utk
+    su = apply_rows(_SIGMA3, u)
+    g0, g1, g2, g3 = model.g_jet(_pair(su, u), depth)
+    V = {"": g0 * u}
+    U["t"] = _u_tk(U, "", dirs, V[""], src.get("val"))
+    if depth == 1 and not m_jet:
+        return {"t": U["t"]}
 
-    out = {"t": U["t"], "M": M[""], "Mt": M["t"]}
+    rho, g = {}, {}
+    for k in dirs + ["t"] if depth > 1 else ["t"]:
+        rho[k] = 2.0 * _pair(su, U[k])
+        g[k] = g1 * rho[k]
+        V[k] = g[k] * u + g0 * U[k]
+        if depth > 1:
+            U["t" + k] = _u_tk(U, k, dirs, V[k], src.get(k))
     if depth == 1:
-        return out
-    out.update({"tt": U["tt"], "ttt": U["ttt"], "Mtt": M["tt"]})
-    if not mttt:
+        return {"t": U["t"], "M": apply_rows(GAMMA_ROWS, V[""]),
+                "Mt": apply_rows(GAMMA_ROWS, V["t"])}
+
+    # second order: the Laplacian key, t plus each direction, and tt
+    st = apply_rows(_SIGMA3, U["t"])
+    lap_pairs = [_pair(apply_rows(_SIGMA3, U[d]), U[d]) + _pair(su, U[d + d])
+                 for d in dirs]
+    rho_lap = 2.0 * reduce(np.add, lap_pairs)
+    if _zero(g2):
+        g_lap = g1 * rho_lap
+    else:
+        g_lap = reduce(np.add, [g2 * rho[d] * rho[d] for d in dirs]) + g1 * rho_lap
+    V_lap = _weighted(g_lap, u, [(2.0 * g[d], U[d]) for d in dirs], g0,
+                      reduce(np.add, [U[d + d] for d in dirs]))
+    for d in dirs:
+        rho_td = 2.0 * (_pair(st, U[d]) + _pair(su, U["t" + d]))
+        g_td = _g_ab(g1, g2, rho["t"], rho[d], rho_td)
+        V["t" + d] = _weighted(g_td, u, [(g["t"], U[d]), (g[d], U["t"])], g0,
+                               U["t" + d])
+    rho["tt"] = 2.0 * (_pair(st, U["t"]) + _pair(su, U["tt"]))
+    g["tt"] = _g_ab(g1, g2, rho["t"], rho["t"], rho["tt"])
+    V["tt"] = _weighted(g["tt"], u, [(2.0 * g["t"], U["t"])], g0, U["tt"])
+
+    # u_ttt from the squared Dirac operator (module docstring)
+    uttt = _minus_A(dirs, [reduce(np.add, [U["".join(sorted(d + d + e))]
+                                           for d in dirs]) for e in dirs])
+    add_rows(uttt, GAMMA_ROWS, V_lap)
+    for d in dirs:
+        if d + d in src:
+            uttt += src[d + d]
+        add_rows(uttt, _MINUS_A_GAMMA[d], V["t" + d])
+        if "t" + d in src:
+            add_rows(uttt, _MINUS_A[d], src["t" + d])
+    add_rows(uttt, GAMMA_ROWS, V["tt"])
+    if "tt" in src:
+        uttt += src["tt"]
+    out = {"t": U["t"], "tt": U["tt"], "ttt": uttt}
+    if not m_jet:
         return out
 
-    rho_ttt = 2.0 * (3.0 * sigma3_pair(U["t"], U["tt"]) + sigma3_pair(u, U["ttt"]))
-    gttt = _g_ttt(g1, g2, g3, rho["t"], rho["tt"], rho_ttt)
-    out["Mttt"] = (
-        gttt * gu + 3.0 * g["tt"] * G["t"] + 3.0 * g["t"] * G["tt"]
-        + g0 * apply_gamma(U["ttt"])
-    )
+    rho_ttt = 2.0 * (3.0 * _pair(st, U["tt"]) + _pair(su, uttt))
+    g_ttt = _g_ttt(g1, g2, g3, rho["t"], rho["tt"], rho_ttt)
+    V["ttt"] = _weighted(g_ttt, u, [(3.0 * g["tt"], U["t"]), (3.0 * g["t"], U["tt"])],
+                         g0, uttt)
+    out.update({"M" + k: apply_rows(GAMMA_ROWS, V[k]) for k in ("", "t", "tt", "ttt")})
     return out

@@ -1,18 +1,23 @@
 """One-step Lax-Wendroff-type DG update.
 
-The step discretises in time first.  With the Taylor state
+The step discretises in time first (the Lax-Wendroff procedure of Qiu,
+Dumbser and Shu, Comput. Methods Appl. Mech. Engrg. 2005).  With the
+Taylor state
 
     w = u + tau/2 u_t + tau^2/6 u_tt + tau^3/24 u_ttt
 
-(time derivatives from the pointwise cascade) and G, the matching Taylor
-combination of M and of the source, it applies `semidiscrete.weak_form`
-once, with the interface flux advecting w and dissipating plain traces:
+(time derivatives from the pointwise cascade, which takes u_ttt from the
+squared Dirac operator and so needs no mixed second-order key) and G, the
+matching Taylor combination of M and of the source, it applies
+`semidiscrete.weak_form` once, with the interface flux advecting w and
+dissipating plain traces:
 
     u_l += tau / a_l  weak_form(f = w, g = G, advected traces = w).
 
 Since F is linear, F(w) is exactly the time-averaged flux of the expansion.
 The full cascade depth is kept for every degree: the nonlinearity makes
-u_ttt nonzero even where the third spatial derivatives vanish.
+u_ttt nonzero even where the third spatial derivatives vanish.  The edge
+states need w alone, so the cascade at the edge points forms no M.
 """
 
 from __future__ import annotations
@@ -43,8 +48,8 @@ def lwdg_step(space, model, coeffs, t, tau, source=None):
     svol = None if source is None else source.volume_jet(space, t, depth=3)
     w, G = taylor_state(space.volume_jet(coeffs, depth=3), model, tau, svol)
 
-    def edge_w(jet, src):  # the Taylor state at edge points, without M_ttt
-        tj = time_jet(jet, model, depth=3, source=src, mttt=False)
+    def edge_w(jet, src):  # the Taylor state at edge points, without any M
+        tj = time_jet(jet, model, depth=3, source=src, m_jet=False)
         return _taylor(tau, jet["u"], tj["t"], tj["tt"], tj["ttt"])
 
     states = cascade_states(space, coeffs, t, source, 3, edge_w)

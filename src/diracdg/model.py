@@ -55,15 +55,50 @@ GAMMA = np.array(
     ]
 )
 
+SIGMA3 = np.diag([1.0, -1.0, 1.0, -1.0])
+
+
+def _row_pair(i, j):
+    """Rows i and j (i != j) of a (4, ...) array as one strided slice."""
+    stop = j + (1 if j > i else -1)
+    return slice(i, stop if stop >= 0 else None, j - i)
+
+
+def signed_rows(matrix):
+    """A signed permutation matrix as two halves (rows of P u, rows of u,
+    sign), each half two rows of one sign taken as a strided view.
+
+    alpha, beta, gamma, sigma3 and their signed products all have an even
+    number of rows of each sign, so two strided copies (or adds) apply
+    them.  Permuting rows and flipping signs is exact, so the result has
+    the bits of ``matrix @ u``."""
+    perm = np.abs(matrix).argmax(axis=1)
+    sign = matrix[np.arange(4), perm]
+    rows = sorted(range(4), key=lambda i: -sign[i])  # the + rows first
+    if sign[rows[0]] != sign[rows[1]] or sign[rows[2]] != sign[rows[3]]:
+        raise ValueError(f"rows of odd sign count: {sign}")
+    return tuple((_row_pair(a, b), _row_pair(perm[a], perm[b]), bool(sign[a] > 0))
+                 for a, b in (rows[:2], rows[2:]))
+
+
+def apply_rows(halves, u):
+    """P u as a new array, P given by `signed_rows`."""
+    out = np.empty_like(u)
+    for rows, src, plus in halves:
+        (np.positive if plus else np.negative)(u[src], out=out[rows])
+    return out
+
+
+def add_rows(out, halves, v):
+    """out += P v in place, P given by `signed_rows`."""
+    for rows, src, plus in halves:
+        part = out[rows]
+        (np.add if plus else np.subtract)(part, v[src], out=part)
+
+
 _ALPHA_PERM = np.array([1, 0, 3, 2])
-_BETA_PERM = np.array([3, 2, 1, 0])
-_BETA_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
-_GAMMA_PERM = np.array([2, 3, 0, 1])
-_GAMMA_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
-
-
-def _colshape(u):
-    return (4,) + (1,) * (u.ndim - 1)
+_BETA_ROWS = signed_rows(BETA)
+GAMMA_ROWS = signed_rows(GAMMA)
 
 
 def apply_alpha(u):
@@ -72,15 +107,11 @@ def apply_alpha(u):
 
 
 def apply_beta(u):
-    out = u[_BETA_PERM]  # advanced indexing copies, safe to scale in place
-    out *= _BETA_SIGN.reshape(_colshape(u))
-    return out
+    return apply_rows(_BETA_ROWS, u)
 
 
 def apply_gamma(u):
-    out = u[_GAMMA_PERM]
-    out *= _GAMMA_SIGN.reshape(_colshape(u))
-    return out
+    return apply_rows(GAMMA_ROWS, u)
 
 
 def sigma3_pair(u, v):

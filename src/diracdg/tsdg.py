@@ -47,8 +47,11 @@ def _sweep(space, model, coeffs, t, source):
     vjet = space.volume_jet(coeffs, depth=1)
     svol = source.volume_jet(space, t, depth=1) if source is not None else None
     tj = time_jet(vjet, model, depth=1, source=svol)
-    ut_states = cascade_states(space, coeffs, t, source, 1,
-                               lambda jet, src: time_jet(jet, model, depth=1, source=src)["t"])
+
+    def ut(jet, src):  # u_t at edge points, without any M
+        return time_jet(jet, model, depth=1, source=src, m_jet=False)["t"]
+
+    ut_states = cascade_states(space, coeffs, t, source, 1, ut)
     u_states = {}
 
     def states(d):  # also keeps each direction's states of u, for I

@@ -477,6 +477,9 @@ def mms_space_jet(x, y, t):
 # The rows of a point set's factor block: S_ab is "ab" and S^p_ab is "abp".
 # The four factors a key reads, S_ab, S_(a+1)b, S_a(b+1) and S^p_ab, lie on
 # equally spaced rows, so each key is one matrix product over a strided view.
+# No key reads S^p_11 ("11p"), so its row is never made; it holds its place
+# because no order of the other 15 keeps both the spacing and the order in
+# which each key's product sums its factors.
 _FACTOR_ROWS = ("11", "00", "00p", "10", "01", "21", "10p", "30",
                 "01p", "20", "11p", "20p", "02", "03", "02p", "12")
 
@@ -520,8 +523,9 @@ def _gaussian_factors(x, y, p: int):
 
 
 # the source keys in the order the depths add them: the value at depth 0,
-# "t" at depth 1 and the rest at depth 3
-_MMS_KEYS = ("val", "t", "x", "y", "xx", "xy", "yy", "tx", "ty", "tt", "ttt")
+# "t" at depth 1 and the rest at depth 3 (no "xy": the cascade's u_ttt
+# reads the source's Laplacian, R_xx + R_yy, and no mixed space key)
+_MMS_KEYS = ("val", "t", "x", "y", "xx", "yy", "tx", "ty", "tt", "ttt")
 
 
 class MMSSource:
@@ -552,12 +556,13 @@ class MMSSource:
     c2, m and c_p: one product of a 4 x 4 weight matrix with those four
     factors, written straight into the key's (4, ...) array (with a matrix
     per point when t is an array of times per point).  The factors
-    S_ab (a + b <= 3) and S^p_ab (a + b <= 2) are kept per point set: 16
-    full arrays of the points' shape, as rows of one block, each made when
+    S_ab (a + b <= 3) and S^p_ab (a + b <= 2) are kept per point set, as
+    rows of one block of 16 full arrays of the points' shape, each made when
     first used, for the latest three point sets (the volume and the two edge
-    sets of a step), 12.4 MB in all at 80^2 P2.  A point set is known by the
-    identity of its x and y arrays, which the source holds, so they must not
-    be changed in place while it is in use.
+    sets of a step).  The keys read 15 of them (none reads S^p_11), 11.6 MB
+    in all at 80^2 P2.  A point set is known by the identity of its x and y
+    arrays, which the source holds, so they must not be changed in place
+    while it is in use.
     """
 
     def __init__(self, model: NLDModel):
@@ -592,8 +597,9 @@ class MMSSource:
 
     def jet(self, x, y, t, depth: int = 3):
         """Source derivatives at the points (x, y): depth 0 gives only
-        'val', depth 1 adds 't', depth 3 every key `cascade.time_jet` and
-        `lwdg.taylor_state` read."""
+        'val', depth 1 adds 't', depth 3 adds 'x', 'y', 'xx', 'yy', 'tx',
+        'ty', 'tt' (the keys `cascade.time_jet` reads) and 'ttt' (read by
+        `lwdg.taylor_state`)."""
         factors, p = self._factors(x, y), self.p
         # d^c/dt^c of t^4 and of t^(4p), per point when t is an array
         w = [math.perm(4, c) * t ** (4 - c) for c in range(5)]

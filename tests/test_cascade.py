@@ -8,6 +8,8 @@ Two oracles cover the cascade end to end:
   the profile ODE and whose time jet is a rotation at frequency omega.
 """
 
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from diracdg import cascade
 from diracdg.cascade import time_jet
 from diracdg.lwdg import taylor_state
 from diracdg.mesh import DGSpace1D, DGSpace2D, Grid1D, Grid2D
-from diracdg.model import NLDModel
+from diracdg.model import NLDModel, apply_alpha, apply_beta, apply_gamma, sigma3_pair
 from diracdg.semidiscrete import axes, cascade_states
 from diracdg.waves import MMS_C1, MMS_C2, MMSSource, mms_space_jet, mms_state
 
@@ -268,26 +270,32 @@ def _assert_jets_equal(got, want):
 def test_blocked_time_jet_is_bit_identical(monkeypatch, dim, depth, forced, kappa):
     model = NLDModel(kappa=kappa)
     for jet, src in _point_sets(dim, depth, forced):
-        whole = cascade._time_jet_block(jet, model, depth, src, True)
-        # about 3 cells per block: the 13 cells split 3+3+3+4
-        monkeypatch.setattr(cascade, "_BLOCK_POINTS", 3 * jet["u"][0, 0].size)
-        _assert_jets_equal(time_jet(jet, model, depth=depth, source=src), whole)
-        monkeypatch.undo()
-        _assert_jets_equal(time_jet(jet, model, depth=depth, source=src), whole)
+        for m_jet in (True, False):
+            whole = cascade._time_jet_block(jet, model, depth, src, m_jet)
+            # about 3 cells per block: the 13 cells split 3+3+3+4
+            monkeypatch.setattr(cascade, "_BLOCK_POINTS", 3 * jet["u"][0, 0].size)
+            _assert_jets_equal(
+                time_jet(jet, model, depth=depth, source=src, m_jet=m_jet), whole)
+            monkeypatch.undo()
+            _assert_jets_equal(
+                time_jet(jet, model, depth=depth, source=src, m_jet=m_jet), whole)
 
 
 @pytest.mark.parametrize("kappa", [1.0, 2.0, 3.0])
 @pytest.mark.parametrize("forced", [False, True])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_time_jet_without_mttt(monkeypatch, dim, forced, kappa):
+    """m_jet=False leaves out M_ttt and every other M output, at both
+    depths, and changes no bit of what it keeps."""
     model = NLDModel(kappa=kappa)
     monkeypatch.setattr(cascade, "_BLOCK_POINTS", 40)
-    for jet, src in _point_sets(dim, 3, forced):
-        full = time_jet(jet, model, depth=3, source=src)
-        short = time_jet(jet, model, depth=3, source=src, mttt=False)
-        assert sorted(short) == sorted(set(full) - {"Mttt"})
-        assert {"t", "tt", "ttt"} <= set(short)  # the edge Taylor state's keys
-        _assert_jets_equal(short, {k: full[k] for k in short})
+    for depth, kept in ((3, {"t", "tt", "ttt"}), (1, {"t"})):
+        for jet, src in _point_sets(dim, depth, forced):
+            full = time_jet(jet, model, depth=depth, source=src)
+            short = time_jet(jet, model, depth=depth, source=src, m_jet=False)
+            assert sorted(short) == sorted(set(full) - {"M", "Mt", "Mtt", "Mttt"})
+            assert kept <= set(short)  # the edge states' keys
+            _assert_jets_equal(short, {k: full[k] for k in short})
 
 
 class _ArrayZeroModel(NLDModel):
@@ -312,3 +320,94 @@ def test_scalar_zero_skip_equals_general_formula(dim, forced, kappa):
             time_jet(jet, skip, depth=3, source=src),
             time_jet(jet, general, depth=3, source=src),
         )
+
+
+# --------------------------------------------------------------------------
+# the squared-operator block against the per-key recurrence
+
+def _reference_time_jet(space_jet, model, depth, source):
+    """The per-key recurrence, kept as the reference: for every canonical
+    key k up to `depth`, M_k by the product and chain rules and
+    u_tk = -alpha u_kx - beta u_ky + M_k + R_k, so that u_ttt comes from
+    u_ttx (and u_tty), which come from u_txx, u_txy and u_tyy."""
+    u = space_jet["u"]
+    U = {**space_jet, "": u}
+    src = source or {}
+    dirs = "".join(a for a in "xy" if a in space_jet)
+    keys = {"t"} | {"".join(c) for n in range(depth)
+                    for c in combinations_with_replacement("t" + dirs, n)}
+    g0, g1, g2, g3 = model.g_jet(sigma3_pair(u, u), depth)
+    G = lambda key: apply_gamma(U[key])
+    rho, g, M = {}, {}, {}
+    for k in sorted(keys, key=lambda k: (len(k), k.count("t"), k)):
+        if not k:
+            M[k] = g0 * G("")
+        elif len(k) == 1:
+            rho[k] = 2.0 * sigma3_pair(u, U[k])
+            g[k] = g1 * rho[k]
+            M[k] = g[k] * G("") + g0 * G(k)
+        else:
+            a, b = k
+            rho[k] = 2.0 * (sigma3_pair(U[a], U[b]) + sigma3_pair(u, U[k]))
+            g[k] = cascade._g_ab(g1, g2, rho[a], rho[b], rho[k])
+            if a == b:
+                M[k] = g[k] * G("") + 2.0 * g[a] * G(a) + g0 * G(k)
+            else:
+                M[k] = g[k] * G("") + g[a] * G(b) + g[b] * G(a) + g0 * G(k)
+        if len(k) < depth:
+            adv = ["".join(sorted(k + a)) for a in dirs]
+            utk = -apply_alpha(U[adv[0]])
+            if len(adv) == 2:
+                utk -= apply_beta(U[adv[1]])
+            utk += M[k]
+            if (k or "val") in src:
+                utk += src[k or "val"]
+            U["".join(sorted("t" + k))] = utk
+    if depth == 1:
+        return {"t": U["t"], "M": M[""], "Mt": M["t"]}
+    rho_ttt = 2.0 * (3.0 * sigma3_pair(U["t"], U["tt"]) + sigma3_pair(u, U["ttt"]))
+    g_ttt = cascade._g_ttt(g1, g2, g3, rho["t"], rho["tt"], rho_ttt)
+    Mttt = (g_ttt * G("") + 3.0 * g["tt"] * G("t") + 3.0 * g["t"] * G("tt")
+            + g0 * G("ttt"))
+    return {"t": U["t"], "tt": U["tt"], "ttt": U["ttt"], "M": M[""],
+            "Mt": M["t"], "Mtt": M["tt"], "Mttt": Mttt}
+
+
+def _random_jet(dim, depth, forced, rng):
+    """A jet of random arrays for every key: the third derivatives are not
+    zero, as they are at P2, where the sum of u_dde drops out of u_ttt."""
+    dirs = "xy"[:dim]
+    shape = (4, 7, 3) if dim == 1 else (4, 5, 6, 4)
+    draw = lambda: 0.5 * rng.standard_normal(shape)
+    jet = {"".join(c) or "u": draw() for n in range(depth + 1)
+           for c in combinations_with_replacement(dirs, n)}
+    if not forced:
+        return jet, None
+    # every source key up to the depth, the unread mixed one ("xy") too
+    keys = {"val", "t"} if depth == 1 else {"val", "t", "tt"} | {
+        "".join(c) for n in (1, 2) for c in combinations_with_replacement(dirs, n)
+    } | {"t" + d for d in dirs}
+    return jet, {k: draw() for k in sorted(keys)}
+
+
+@pytest.mark.parametrize("kappa", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("depth", [1, 3])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_block_matches_the_per_key_recurrence(dim, depth, forced, kappa):
+    """The same bits at depth 1 and in 1D; in 2D at depth 3, u_ttt from the
+    squared operator sums in another order, so each key agrees within 1e-14
+    of its largest entry."""
+    model = NLDModel(kappa=kappa)
+    rng = np.random.default_rng(int(10 * kappa) + 2 * depth + forced)
+    for _ in range(3):
+        jet, src = _random_jet(dim, depth, forced, rng)
+        got = cascade._time_jet_block(jet, model, depth, src, True)
+        want = _reference_time_jet(jet, model, depth, src)
+        assert sorted(got) == sorted(want)
+        for key, val in want.items():
+            if depth == 1 or dim == 1:
+                assert got[key].tobytes() == val.tobytes(), key
+            else:
+                err = np.abs(got[key] - val).max()
+                assert err <= 1e-14 * np.abs(val).max(), (key, err)

@@ -10,16 +10,20 @@ from diracdg.model import (
     ALPHA,
     BETA,
     GAMMA,
+    SIGMA3,
     NLDModel,
+    add_rows,
     apply_alpha,
     apply_beta,
     apply_gamma,
+    apply_rows,
     charge_density,
     complex_to_real,
     energy_density,
     real_to_complex,
     rho,
     signed_power,
+    signed_rows,
 )
 
 RNG = np.random.default_rng(20260825)
@@ -38,6 +42,12 @@ def test_matrix_squares():
     assert np.array_equal(GAMMA @ GAMMA, -np.eye(4))
 
 
+def test_alpha_and_beta_anticommute():
+    # with alpha^2 = beta^2 = I this squares the Dirac operator: the mixed
+    # second derivatives drop out of u_ttt in the cascade
+    assert np.array_equal(ALPHA @ BETA, -(BETA @ ALPHA))
+
+
 def test_matrix_symmetries():
     assert np.array_equal(ALPHA, ALPHA.T)
     assert np.array_equal(BETA, BETA.T)
@@ -49,6 +59,28 @@ def test_apply_matches_matmul():
     np.testing.assert_allclose(apply_alpha(u), ALPHA @ u, rtol=0, atol=0)
     np.testing.assert_allclose(apply_beta(u), BETA @ u, rtol=0, atol=0)
     np.testing.assert_allclose(apply_gamma(u), GAMMA @ u, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "sigma3", "-alpha",
+                                  "-alpha gamma", "-beta gamma"])
+def test_signed_rows_apply_and_add_match_matmul(name):
+    mats = {"alpha": ALPHA, "beta": BETA, "gamma": GAMMA, "sigma3": SIGMA3}
+    P = np.eye(4)
+    for m in name.lstrip("-").split():
+        P = P @ mats[m]
+    P = -P if name.startswith("-") else P
+    u = RNG.standard_normal((4, 5, 3))[:, 1:4]  # a strided view, as in blocks
+    rows = signed_rows(P)
+    assert np.array_equal(apply_rows(rows, u), np.einsum("ij,j...->i...", P, u))
+    out = RNG.standard_normal(u.shape)
+    want = out + np.einsum("ij,j...->i...", P, u)
+    add_rows(out, rows, u)
+    assert np.array_equal(out, want)
+
+
+def test_signed_rows_refuses_odd_sign_counts():
+    with pytest.raises(ValueError):
+        signed_rows(np.diag([1.0, 1.0, 1.0, -1.0]))
 
 
 def test_apply_does_not_alias_input():
