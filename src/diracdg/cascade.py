@@ -6,14 +6,14 @@ before x and x before y; "" is no derivative):
 
     u_tk = -sum_d A_d u_kd + M_k + R_k,      M(u) = g(rho) gamma u,
 
-with A_x = alpha, A_y = beta and d running over the directions present in
-the jet ("x", or "x" and "y").  One code path serves both dimensions:
-every sum below runs over those directions.  The rule is applied for
-k = "", each direction d and t, giving u_t, u_td and u_tt in turn (at
-depth 1 only k = "" and M_t).  u_ttt comes from the squared Dirac
+with A_d direction d's matrix (`model.DIRECTIONS`) and d running over the
+directions present in the jet ("x", or "x" and "y").  One code path serves
+both dimensions: every sum below runs over those directions.  The rule is
+applied for k = "", each direction d and t, giving u_t, u_td and u_tt in
+turn (at depth 1 only k = "" and M_t).  u_ttt comes from the squared Dirac
 operator instead.  Applying the rule to u_tt and then to each u_ttd, the
-mixed terms cancel, since alpha^2 = beta^2 = I and alpha beta =
--beta alpha, which leaves, for any input jet, forced or not,
+mixed terms cancel, since A_x^2 = A_y^2 = I and A_x A_y = -A_y A_x,
+which leaves, for any input jet, forced or not,
 
     u_ttt = -sum_e A_e (sum_d u_dde) + M_lap + R_lap
             - sum_d A_d (M_td + R_td) + M_tt + R_tt,
@@ -40,15 +40,15 @@ written out:
     rho_ttt = 2 (3 <u_t, u_tt> + <u, u_ttt>)
     g_ttt   = g''' rho_t^3 + 3 g'' rho_t rho_tt + g' rho_ttt
 
-alpha, beta, gamma, sigma3 and their signed products are signed
-permutations, and applying one is exact.  So each key's g-weighted sum V_k
-is formed once, and gamma V_k, -A_d u and -A_d gamma V_td are added into
-the output as two strided row views each (`model.signed_rows`), with no
-gathered copy.  Each sigma3 pairing is one `np.einsum` against sigma3 a,
-with the sign folded in.  Every sum runs in the order of the per-key
-recurrence (u_ttt from u_ttd, from u_tde; the tests keep it as the
-reference), so u_t, u_td, u_tt, every output at depth 1 and every output
-in 1D have its bits; in 2D, u_ttt and M_ttt differ from it by rounding.
+A_d, gamma, sigma3 and their signed products are signed permutations, and
+applying one is exact.  So each key's g-weighted sum V_k is formed once,
+and gamma V_k, -A_d u and -A_d gamma V_td are added into the output as two
+strided row views each (`model.signed_rows`), with no gathered copy.
+Each sigma3 pairing is one `np.einsum` against sigma3 a, with the sign
+folded in.  Every sum runs in the order of the per-key recurrence (u_ttt
+from u_ttd, from u_tde; the tests keep it as the reference), so u_t, u_td,
+u_tt, every output at depth 1 and every output in 1D have its bits; in 2D,
+u_ttt and M_ttt differ from it by rounding.
 
 All operations act on point values, so the same code serves volume
 quadrature points and cell-edge traces of every space dimension.
@@ -105,7 +105,7 @@ from functools import reduce
 import numpy as np
 
 from . import pool
-from .model import (ALPHA, BETA, GAMMA, GAMMA_ROWS, SIGMA3, add_rows, apply_rows,
+from .model import (DIRECTIONS, GAMMA, GAMMA_ROWS, SIGMA3, add_rows, apply_rows,
                     signed_rows)
 
 # Points per cascade block.  On a 2-core Xeon the 200^2 P2 lwdg step timed
@@ -177,15 +177,16 @@ def time_jet(space_jet, model, depth: int = 3, source=None, m_jet: bool = True):
     return out
 
 
-# -A_d and -A_d gamma for each direction d, gamma and sigma3 as strided
-# row halves (A_x = alpha, A_y = beta)
-_MINUS_A = {"x": signed_rows(-ALPHA), "y": signed_rows(-BETA)}
-_MINUS_A_GAMMA = {"x": signed_rows(-ALPHA @ GAMMA), "y": signed_rows(-BETA @ GAMMA)}
+# -A_d and -A_d gamma for each direction d, and sigma3, as strided row halves
+_MINUS_A = {d: signed_rows(-f.matrix) for d, f in DIRECTIONS.items()}
+_MINUS_A_GAMMA = {d: signed_rows(-f.matrix @ GAMMA) for d, f in DIRECTIONS.items()}
 _SIGMA3 = signed_rows(SIGMA3)
 
 
 def _pair(s, v):
     """<a, v> from s = sigma3 a: the sign is folded into s."""
+    # One einsum, not `model.sigma3_pair`'s four row products: sigma3 u is
+    # made once per key and reused, and by hand the lwdg step measured slower.
     return np.einsum("i...,i...->...", s, v)
 
 

@@ -1,17 +1,17 @@
 """The DG weak form that rkdg, lwdg and tsdg share.
 
-Each scheme discretises u_t + alpha u_x + beta u_y = M(u) + R in time its
-own way and then applies one spatial operator.  For a volume field f, a
-zero-order term g and interface states a (advected) and b (dissipated),
-`weak_form` returns per cell K and basis function v_l
+Each scheme discretises u_t + sum_d A_d u_d = M(u) + R in time its own way
+and then applies one spatial operator.  For a volume field f, a zero-order
+term g and interface states a (advected) and b (dissipated), `weak_form`
+returns per cell K and basis function v_l
 
     int_K [ F(f) . grad v_l + g v_l ] - sum_edges int_e  Fhat . n  v_l,
 
-with F(f) = (alpha f, beta f) and the local Lax-Friedrichs flux
+with F(f) = (A_x f, A_y f) (`model.DIRECTIONS`) and the local Lax-Friedrichs flux
 
-    Fhat . n = 1/2 [ (F(a-) + F(a+)) . n - (b+ - b-) ]
+    Fhat . n = 1/2 [ F(a- + a+) . n - (b+ - b-) ]
 
-(the unit spectral radius of alpha/beta).  b is always the plain trace of
+(the unit spectral radius of each A_d).  b is always the plain trace of
 u; a scheme only chooses (f, g, a):
 
     rkdg        f = a = u,     g = M(u) + R    (`rkdg_residual`: a_l du_l/dt)
@@ -37,7 +37,7 @@ from operator import iadd
 import numpy as np
 
 from .mesh import table_dot
-from .model import apply_alpha, apply_beta
+from .model import DIRECTIONS
 
 
 def interface_states(lo, hi, axis: int):
@@ -56,10 +56,9 @@ def interface_states(lo, hi, axis: int):
 
 def lf_flux(apply_f, flux_minus, flux_plus, diss_minus, diss_plus):
     """Lax-Friedrichs-type flux; the advected state and the jump state may
-    differ (Taylor-evolved vs plain traces in the one-step schemes)."""
-    return 0.5 * (
-        apply_f(flux_minus) + apply_f(flux_plus) - (diss_plus - diss_minus)
-    )
+    differ (Taylor-evolved vs plain traces in the one-step schemes).  apply_f,
+    a signed permutation, goes once over the sum: the bits of one per side."""
+    return 0.5 * (apply_f(flux_minus + flux_plus) - (diss_plus - diss_minus))
 
 
 def _sides(v, axis: int):
@@ -85,17 +84,14 @@ Direction = namedtuple("Direction", "name axis flux table edge_term")
 
 
 def axes(space):
-    """Per direction: name, cell axis, flux, weighted volume table, edge term;
-    the edge terms resolve `edge_term_1d`/`_2d` when called, so rebinds show."""
-    if space.dim == 1:
-        return (Direction("x", 1, apply_alpha, space.volw["x"],
-                          lambda fhat: edge_term_1d(space, fhat)),)
-    return (
-        Direction("x", 1, apply_alpha, space.volw["x"],
-                  lambda fhat: edge_term_2d(space, fhat, "x")),
-        Direction("y", 2, apply_beta, space.volw["y"],
-                  lambda fhat: edge_term_2d(space, fhat, "y")),
-    )
+    """Per direction of `space.names`: name, cell axis, flux (from
+    `model.DIRECTIONS`), weighted volume table, edge term; the edge terms
+    resolve `edge_term_1d`/`_2d` when called, so rebinds show."""
+    return tuple(
+        Direction(name, axis, DIRECTIONS[name].apply, space.volw[name],
+                  (lambda fhat: edge_term_1d(space, fhat)) if space.dim == 1
+                  else (lambda fhat, name=name: edge_term_2d(space, fhat, name)))
+        for axis, name in enumerate(space.names, start=1))
 
 
 def weak_form(space, f, g, states):

@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NoConvergence, read_text
 from .mesh import _jet_keys
-from .model import NLDModel, complex_to_real
+from .model import DIRECTIONS, GAMMA, NLDModel, complex_to_real
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +209,6 @@ class WaveProfile:
 
     def phi(self, rq):
         return self.phi_chi(rq)[0]
-
-    def chi(self, rq):
-        return self.phi_chi(rq)[1]
 
     @property
     def decay_exponent(self) -> float:
@@ -384,19 +381,10 @@ _PROFILE_COLUMNS = "columns: r p w"
 
 
 def save_profile(path, profile: WaveProfile):
-    hdr = [
-        "nonlinear Dirac standing-wave profile",
-        f"omega = {profile.omega!r}",
-        f"S = {profile.S}",
-        f"kappa = {profile.model.kappa!r}",
-        f"lam = {profile.model.lam!r}",
-        f"m = {profile.model.m!r}",
-        f"R = {profile.R!r}",
-        f"N = {profile.N}",
-        f"dim = {profile.dim}",
-        f"residual = {profile.residual!r}",
-        _PROFILE_COLUMNS,
-    ]
+    meta = {**vars(profile), **vars(profile.model)}
+    # str of a float is its shortest round-trip repr, so a reload is exact
+    hdr = ["nonlinear Dirac standing-wave profile",
+           *(f"{key} = {meta[key]}" for key in _PROFILE_KEYS), _PROFILE_COLUMNS]
     # p and w themselves, not phi = r^S p and chi = r^{S+1} w: a reload is exact
     np.savetxt(path, np.column_stack([profile.r, profile.p, profile.w]),
                fmt="%.18e", header="\n".join(hdr))
@@ -531,14 +519,13 @@ _MMS_KEYS = ("val", "t", "x", "y", "xx", "yy", "tx", "ty", "tt", "ttt")
 class MMSSource:
     """Derivative jet of the forcing that makes the Gaussian field exact.
 
-    Complex components: r_p = A_p phi_t + B_p phi_x + C_p phi_y + D_p g phi
-    with A = (c1, c2), B = (c2, c1), C = (-i c2, i c1), D = (i c1, -i c2);
-    in real variables (phi and g phi are real) this is
+    The field is u = C phi with C = (c1, c2, 0, 0), so the forcing is
 
-        R = ( c1 f_t + c2 f_x,  c2 f_t + c1 f_x,
-             -c2 f_y + c1 (g f), c1 f_y - c2 (g f) )
+        R = u_t + sum_d A_d u_d - g(rho) gamma u
+          = C phi_t + (A_x C) phi_x + (A_y C) phi_y - (gamma C) (g phi),
 
-    applied to every requested derivative of (phi, g phi).  The density is
+    with A_d from `model.DIRECTIONS`, applied to every requested derivative
+    of (phi, g phi).  The density is
     sig phi^2 with sig = c1^2 - c2^2, so for an integer kappa >= 0
 
         g(sig phi^2) phi = m phi + c_p phi^p,
@@ -573,16 +560,16 @@ class MMSSource:
         self.model = model
         self.p = 2 * int(kappa) + 1
         self.cp = -(kappa + 1.0) * model.lam * _MMS_SIG ** int(kappa)
-        c1, c2, m, cp = MMS_C1, MMS_C2, model.m, self.cp
         # R over (S_ab, S_(a+1)b, S_a(b+1), S^p_ab) is the sum of these
-        # matrices times d_t^(c+1) t^4, d_t^c t^4 and d_t^c t^(4p)
+        # matrices times d_t^(c+1) t^4, d_t^c t^4 and d_t^c t^(4p); column j
+        # weighs factor j, and + 0.0 turns the -0.0 entries into 0.0
+        C = np.array([MMS_C1, MMS_C2, 0.0, 0.0])
+        Z, gC = np.zeros(4), GAMMA @ C
         self._weights = (
-            np.array([[c1, 0, 0, 0], [c2, 0, 0, 0],
-                      [0, 0, 0, 0], [0, 0, 0, 0]]),
-            np.array([[0, c2, 0, 0], [0, c1, 0, 0],
-                      [c1 * m, 0, -c2, 0], [-c2 * m, 0, c1, 0]]),
-            np.array([[0, 0, 0, 0], [0, 0, 0, 0],
-                      [0, 0, 0, c1 * cp], [0, 0, 0, -c2 * cp]]),
+            np.column_stack([C, Z, Z, Z]),
+            np.column_stack([-model.m * gC, *(DIRECTIONS[d].matrix @ C for d in "xy"),
+                             Z]) + 0.0,
+            np.column_stack([Z, Z, Z, -self.cp * gC]) + 0.0,
         )
         self._point_sets = []  # (x, y, factors), the latest last
 

@@ -11,8 +11,15 @@ a BLAS that sums in another order.
 Regenerate (only when a change of the numbers is intended) with
 
     PYTHONPATH=src python tests/test_golden_steps.py
+
+and print one sha256 over the `tobytes()` of all 72 results, stepped by the
+code at hand from the fixture's inputs in `_cases()` order (equal hashes on
+two trees mean bit-identical steps), with
+
+    PYTHONPATH=src python tests/test_golden_steps.py --hash
 """
 
+import hashlib
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -166,6 +173,22 @@ def test_pool_serves_concurrent_callers(golden, monkeypatch):
     assert made._max_workers <= 2
 
 
+def results_hash():
+    """sha256 over every case's result, in `_cases()` order, from the
+    fixture's inputs."""
+    with np.load(FIXTURE) as f:
+        inputs = dict(f)
+    h = hashlib.sha256()
+    for case in _cases():
+        h.update(run_case(case, inputs[_input_key(case)]).tobytes())
+    return h.hexdigest()
+
+
 if __name__ == "__main__":
-    write_fixture()
-    print(f"wrote {FIXTURE}")
+    if sys.argv[1:] == ["--hash"]:
+        print(results_hash())
+    elif sys.argv[1:]:
+        sys.exit(f"usage: {sys.argv[0]} [--hash]")
+    else:
+        write_fixture()
+        print(f"wrote {FIXTURE}")

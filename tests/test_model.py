@@ -9,6 +9,7 @@ from diracdg.errors import DomainError
 from diracdg.model import (
     ALPHA,
     BETA,
+    DIRECTIONS,
     GAMMA,
     SIGMA3,
     NLDModel,
@@ -76,6 +77,15 @@ def test_signed_rows_apply_and_add_match_matmul(name):
     want = out + np.einsum("ij,j...->i...", P, u)
     add_rows(out, rows, u)
     assert np.array_equal(out, want)
+
+
+def test_direction_table_pairs_each_matrix_with_its_apply():
+    # the x and y fluxes of u_t + alpha u_x + beta u_y = g(rho) gamma u
+    assert list(DIRECTIONS) == ["x", "y"]
+    assert DIRECTIONS["x"].matrix is ALPHA and DIRECTIONS["y"].matrix is BETA
+    u = RNG.standard_normal((4, 5, 3))[:, 1:4]
+    for f in DIRECTIONS.values():
+        assert np.array_equal(f.apply(u), np.einsum("ij,j...->i...", f.matrix, u))
 
 
 def test_signed_rows_refuses_odd_sign_counts():

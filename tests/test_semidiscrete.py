@@ -5,9 +5,12 @@ import pytest
 
 from diracdg.diagnostics import total_charge
 from diracdg.mesh import DGSpace1D, DGSpace2D, Grid1D, Grid2D
-from diracdg.model import NLDModel
+from diracdg.model import DIRECTIONS, NLDModel
 from diracdg.semidiscrete import (
+    axes,
     dqdt_semidiscrete,
+    edge_term_1d,
+    edge_term_2d,
     interface_states,
     lf_flux,
     rkdg_residual,
@@ -175,3 +178,42 @@ def test_lf_flux_formula():
     j2 = RNG.standard_normal((4, 7))
     f2 = lf_flux(lambda u: u, a, b, j1, j2)
     np.testing.assert_allclose(f2, 0.5 * (a + b - (j2 - j1)))
+
+
+def _lf_flux_per_side(apply_f, flux_minus, flux_plus, diss_minus, diss_plus):
+    """The flux as first written: the direction's matrix applied to each side."""
+    return 0.5 * (
+        apply_f(flux_minus) + apply_f(flux_plus) - (diss_plus - diss_minus)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(DIRECTIONS))
+@pytest.mark.parametrize("shape", [(4, 12), (4, 8, 6, 3)], ids=["1d", "2d"])
+def test_lf_flux_applies_the_matrix_once_bit_for_bit(shape, name):
+    # A_d is a signed permutation, so A_d (a- + a+) has the bits of
+    # A_d a- + A_d a+; magnitudes over 16 decades, advected and dissipated
+    # states apart (the cascade schemes) and alike (rkdg)
+    apply_f = DIRECTIONS[name].apply
+    for _ in range(5):
+        am, ap, bm, bp = (RNG.standard_normal(shape)
+                          * 10.0 ** RNG.uniform(-8.0, 8.0, shape) for _ in range(4))
+        for states in ((am, ap, bm, bp), (am, ap, am, ap)):
+            got = lf_flux(apply_f, *states)
+            assert got.tobytes() == _lf_flux_per_side(apply_f, *states).tobytes()
+
+
+@pytest.mark.parametrize("space", [DGSpace1D(Grid1D(-1.0, 1.0, 5), 2),
+                                   DGSpace2D(Grid2D(-1.0, 1.0, 4, -1.0, 1.0, 3), 2)],
+                         ids=["1d", "2d"])
+def test_axes_lists_one_direction_per_name(space):
+    dirs = axes(space)
+    assert [d.name for d in dirs] == list(space.names)
+    assert [d.axis for d in dirs] == list(range(1, space.dim + 1))
+    for d in dirs:
+        assert d.flux is DIRECTIONS[d.name].apply
+        assert d.table is space.volw[d.name]
+        lo, hi = space.edge_jets(_random_coeffs(space), d.name, depth=0)
+        fhat = interface_states(lo["u"], hi["u"], d.axis)[0]
+        want = (edge_term_1d(space, fhat) if space.dim == 1
+                else edge_term_2d(space, fhat, d.name))
+        assert np.array_equal(d.edge_term(fhat), want)

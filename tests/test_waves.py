@@ -80,7 +80,7 @@ def test_1d_profile_matches_closed_form(omega, kappa):
     x = np.linspace(0.0, 12.0, 400)
     phi, chi = closed_form(omega, x, model)
     assert np.abs(prof.phi(x) - phi).max() < 1e-8
-    assert np.abs(prof.chi(x) - chi).max() < 1e-8
+    assert np.abs(prof.phi_chi(x)[1] - chi).max() < 1e-8
     assert wave_ode_residual(prof) < 1e-10
 
 
@@ -183,7 +183,6 @@ def test_clenshaw_matches_barycentric(dim, S, kappa):
     outside = r > R
     assert np.all(phi[outside] == 0.0) and np.all(chi[outside] == 0.0)
     np.testing.assert_array_equal(prof.phi(r), phi)
-    np.testing.assert_array_equal(prof.chi(r), chi)
 
 
 def test_phi_chi_does_not_depend_on_the_clenshaw_blocks(prof_2d):
@@ -199,7 +198,7 @@ def test_phi_chi_does_not_depend_on_the_clenshaw_blocks(prof_2d):
 def test_profile_vanishes_outside_support(prof_2d):
     r = np.array([prof_2d.R + 1.0, prof_2d.R + 10.0])
     assert np.all(prof_2d.phi(r) == 0.0)
-    assert np.all(prof_2d.chi(r) == 0.0)
+    assert np.all(prof_2d.phi_chi(r)[1] == 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -372,7 +371,7 @@ def test_mms_jet_depths_agree_bit_for_bit(kappa):
 
 def _reference_mms_jet(src, x, y, t, keys):
     """The source from `_power_jet`: each derivative of phi and phi^p formed
-    whole, then R assembled as in the MMSSource docstring."""
+    whole, then R assembled component by component."""
     phi, phip = _power_jet(x, y, t, 1), _power_jet(x, y, t, src.p)
     out = {}
     for key in keys:
@@ -430,6 +429,29 @@ def test_mms_source_keeps_factors_for_three_point_sets():
     held = list(src._point_sets)
     src.jet(x, y, 0.7, depth=3)  # the latest set again: no new factors
     assert src._point_sets == held
+
+
+def _hand_written_weights(src):
+    """MMSSource's weight matrices as first written, entry by entry."""
+    c1, c2, m, cp = MMS_C1, MMS_C2, src.model.m, src.cp
+    return (
+        np.array([[c1, 0, 0, 0], [c2, 0, 0, 0],
+                  [0, 0, 0, 0], [0, 0, 0, 0]]),
+        np.array([[0, c2, 0, 0], [0, c1, 0, 0],
+                  [c1 * m, 0, -c2, 0], [-c2 * m, 0, c1, 0]]),
+        np.array([[0, 0, 0, 0], [0, 0, 0, 0],
+                  [0, 0, 0, c1 * cp], [0, 0, 0, -c2 * cp]]),
+    )
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1.0, 2.0, 3.0])
+def test_mms_weights_from_the_direction_table_are_the_hand_written_ones(kappa):
+    src = MMSSource(NLDModel(kappa=kappa))
+    want = _hand_written_weights(src)
+    assert len(src._weights) == len(want)
+    for got, ref in zip(src._weights, want):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_mms_source_needs_an_integer_kappa():
