@@ -45,7 +45,7 @@ def taylor_state(space_jet, model, tau: float, source=None):
 
 
 def lwdg_step(space, model, coeffs, t, tau, source=None):
-    svol = None if source is None else source.volume_jet(space, t, depth=3)
+    svol = None if source is None else source.jet(*space.points, t, depth=3)
     w, G = taylor_state(space.volume_jet(coeffs, depth=3), model, tau, svol)
 
     def edge_w(jet, src):  # the Taylor state at edge points, without any M

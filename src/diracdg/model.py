@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 
 ALPHA = np.array(
     [
@@ -175,6 +175,12 @@ class NLDModel:
     m: float = 1.0
     lam: float = 0.5
     kappa: float = 1.0
+
+    def __post_init__(self):
+        for name in ("m", "lam", "kappa"):
+            val = getattr(self, name)
+            if not np.isfinite(val):
+                raise ConfigError(f"model parameter {name} must be finite, got {val!r}")
 
     def g(self, rho_val):
         return self.g_jet(rho_val, 0)[0]

@@ -121,7 +121,8 @@ def cascade_states(space, coeffs, t, source, depth: int, advect):
         slo = shi = None
         if source is not None:
             slo, shi = {}, {}
-            for key, v in source.edge_jet(space, t, d.name, depth=depth).items():
+            edge = source.jet(*space.edge_points[d.name], t, depth=depth)
+            for key, v in edge.items():
                 slo[key], shi[key] = _sides(v, d.axis)
         am, ap = interface_states(advect(lo, slo), advect(hi, shi), d.axis)
         return (am, ap, *interface_states(lo["u"], hi["u"], d.axis))
@@ -134,7 +135,7 @@ def rkdg_residual(space, model, coeffs, t: float = 0.0, source=None):
     uv = space.eval(coeffs)
     mv = model.nonlinear_term(uv)
     if source is not None:
-        mv = mv + source.values(space, t)
+        mv = mv + source.jet(*space.points, t, depth=0)["val"]
 
     def states(d):
         lo, hi = space.edge_jets(coeffs, d.name, depth=0)

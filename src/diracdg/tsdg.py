@@ -45,7 +45,7 @@ def _sweep(space, model, coeffs, t, source):
     """(Ihat, first): the moment Ihat and a function that forms I from the
     same volume jet, cascade and interface states of u."""
     vjet = space.volume_jet(coeffs, depth=1)
-    svol = source.volume_jet(space, t, depth=1) if source is not None else None
+    svol = source.jet(*space.points, t, depth=1) if source is not None else None
     tj = time_jet(vjet, model, depth=1, source=svol)
 
     def ut(jet, src):  # u_t at edge points, without any M

@@ -35,7 +35,10 @@ schemes consume.  Its nonlinear part is closed form: the density is
 (c1^2 - c2^2) phi^2, so for an integer kappa >= 0 the term g(rho) phi is
 m phi + c_p phi^p with p = 2 kappa + 1, and phi^p = t^(4p) exp(-5p(x^2+y^2))
 is again a power of t times a Gaussian, whose every derivative is a falling
-factorial in t times Hermite-type polynomials in x and y.
+factorial in t times Hermite-type polynomials in x and y.  `mms_state` and
+`mms_space_jet` are that closed form, and `MMSSource.jet` is the one entry to
+the forcing.  Both are pinned against a general d_x^a d_y^b d_t^c phi^p kept
+apart from this module, `_power_jet` in tests/test_waves.py.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 
@@ -426,26 +428,6 @@ _HERMITE = (
 )
 
 
-def _power_jet(x, y, t, p: int):
-    """(a, b, c) -> d_x^a d_y^b d_t^c phi^p for an integer p >= 1 and
-    a, b <= 3, where phi^p = t^(4p) E^p and E = exp(-5(x^2+y^2)).  E^p is
-    taken by repeated multiplication, and each derivative is formed once,
-    when first asked for."""
-    E = np.exp(-5.0 * (x * x + y * y))
-    Ep = E
-    for _ in range(p - 1):
-        Ep = Ep * E
-    n, s = 4 * p, 5.0 * p
-
-    @cache
-    def d(a: int, b: int, c: int):
-        # d^c/dt^c t^n = n (n-1) ... (n-c+1) t^(n-c)
-        return (math.perm(n, c) * t ** (n - c) * _HERMITE[a](x, s)
-                * _HERMITE[b](y, s) * Ep)
-
-    return d
-
-
 def _mms_field(f):
     z = np.zeros_like(f)
     return np.stack([MMS_C1 * f, MMS_C2 * f, z, z])
@@ -453,13 +435,16 @@ def _mms_field(f):
 
 def mms_state(x, y, t):
     """Exact real-form field (c1 phi, c2 phi, 0, 0)."""
-    return _mms_field(_power_jet(x, y, t, 1)(0, 0, 0))
+    return _mms_field(t ** 4 * np.exp(-5.0 * (x * x + y * y)))
 
 
 def mms_space_jet(x, y, t):
-    """Exact spatial jet of the manufactured field (for cascade checks)."""
-    phi = _power_jet(x, y, t, 1)
-    return {k: _mms_field(phi(k.count("x"), k.count("y"), 0)) for k in _jet_keys("xy", 3)}
+    """Exact spatial jet of the manufactured field (for cascade checks):
+    d_x^a d_y^b phi = t^4 h_a(x; 5) h_b(y; 5) E."""
+    E = np.exp(-5.0 * (x * x + y * y))
+    return {k: _mms_field(t ** 4 * _HERMITE[k.count("x")](x, 5.0)
+                          * _HERMITE[k.count("y")](y, 5.0) * E)
+            for k in _jet_keys("xy", 3)}
 
 
 # The rows of a point set's factor block: S_ab is "ab" and S^p_ab is "abp".
@@ -550,6 +535,10 @@ class MMSSource:
     in all at 80^2 P2.  A point set is known by the identity of its x and y
     arrays, which the source holds, so they must not be changed in place
     while it is in use.
+
+    `jet` is the one entry: each scheme passes it `*space.points` or
+    `*space.edge_points[axis]`.  Its reference is `_power_jet` in
+    tests/test_waves.py, which forms each derivative of phi and phi^p whole.
     """
 
     def __init__(self, model: NLDModel):
@@ -603,12 +592,3 @@ class MMSSource:
             else:  # a weight matrix per point
                 np.einsum("ij...,j...->i...", W, rows, out=r)
         return out
-
-    def values(self, space, t):
-        return self.jet(*space.points, t, depth=0)["val"]
-
-    def volume_jet(self, space, t, depth: int = 3):
-        return self.jet(*space.points, t, depth=depth)
-
-    def edge_jet(self, space, t, axis: str, depth: int = 3):
-        return self.jet(*space.edge_points[axis], t, depth=depth)

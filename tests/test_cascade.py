@@ -248,7 +248,7 @@ def _point_sets(dim, depth, forced):
     coeffs = 0.6 * rng.standard_normal(space.zeros().shape)
     src = MMSSource(NLDModel()) if forced else None
     pairs = [(space.volume_jet(coeffs, depth),
-              src.volume_jet(space, 0.7, depth) if forced else None)]
+              src.jet(*space.points, 0.7, depth) if forced else None)]
     # each edge side's (jet, source) pair as the cascade schemes advect it
     states = cascade_states(space, coeffs, 0.7, src, depth,
                             lambda jet, s: pairs.append((jet, s)) or jet["u"])

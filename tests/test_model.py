@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from diracdg.errors import DomainError
+from diracdg.errors import ConfigError, DomainError
 from diracdg.model import (
     ALPHA,
     BETA,
@@ -159,6 +159,13 @@ def test_g_default_parameters():
     assert m.m == 1.0 and m.lam == 0.5 and m.kappa == 1.0
     assert m.g(0.0) == 1.0
     assert m.g(0.5) == pytest.approx(0.5)  # 1 - 2*(1/2)*s
+
+
+@pytest.mark.parametrize("field", ["m", "lam", "kappa"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_model_rejects_a_non_finite_parameter(field, bad):
+    with pytest.raises(ConfigError, match=f"parameter {field} must be finite"):
+        NLDModel(**{field: bad})
 
 
 @given(st.floats(-3, 3), st.integers(1, 3))

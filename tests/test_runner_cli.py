@@ -458,9 +458,14 @@ def test_cli_wave_bad_frequency(capsys):
         (["--R", "0"], "R must be > 0"),
         (["--R", "inf"], "finite"),
         (["--dim", "2", "--spin", "-1"], "S must be >= 0"),
+        (["--lam", "nan"], "parameter lam must be finite"),
+        (["--dim", "2", "--kappa", "inf"], "parameter kappa must be finite"),
+        (["--kappa", "nan"], "parameter kappa must be finite"),
+        (["--mass", "inf"], "parameter m must be finite"),
     ],
     ids=["negative-nodes", "no-nodes", "one-node", "negative-radius", "zero-radius",
-         "infinite-radius", "negative-spin"],
+         "infinite-radius", "negative-spin", "nan-lam", "infinite-kappa", "nan-kappa",
+         "infinite-mass"],
 )
 def test_cli_wave_rejects_bad_input(capsys, argv, words):
     assert main(["wave", "--omega", "0.8"] + argv) == 2

@@ -19,6 +19,7 @@ from diracdg.integrators import cfl_dt, evolve, rk4_step
 from diracdg.lwdg import lwdg_step
 from diracdg.mesh import DGSpace1D, DGSpace2D, Grid1D, Grid2D
 from diracdg.model import NLDModel
+from diracdg.runner import RunConfig, make_stepper
 from diracdg.semidiscrete import rkdg_residual
 from diracdg.tsdg import tsdg_step
 from diracdg.waves import MMSSource, mms_state
@@ -104,6 +105,29 @@ def test_x_traces_are_freed_before_y_traces_are_built(monkeypatch, scheme, force
     STEPS[scheme](sp, c, MMSSource(MODEL) if forced else None)
     sweeps = {"rkdg": 4, "lwdg": 1, "tsdg": 2}[scheme]
     assert alive_at_y == [0] * sweeps
+
+
+@pytest.mark.parametrize("scheme, per_step", [("rkdg", 4), ("lwdg", 3), ("tsdg", 6)])
+def test_forced_2d_step_calls_the_source_jet_once_per_point_set(
+        monkeypatch, scheme, per_step):
+    """One `MMSSource.jet` call per RK stage (rkdg), on the volume and the
+    two edge point sets (lwdg), and on those three per sweep (tsdg): a call
+    site that evaluates the source twice fails here.  perfbench's traced
+    `mms-2d` run reports the same counts as `waves.mms_jet.calls_per_step`."""
+    calls = []
+    jet = MMSSource.jet
+
+    def counted(self, *args, **kw):
+        calls.append(None)
+        return jet(self, *args, **kw)
+
+    monkeypatch.setattr(MMSSource, "jet", counted)
+    sp = DGSpace2D(Grid2D(-2.0, 2.0, 8, -2.0, 2.0, 8), 2)
+    step = make_stepper(RunConfig(scheme=scheme), sp, MODEL, MMSSource(MODEL))
+    c, t, tau = sp.project(lambda x, y: mms_state(x, y, 0.1)), 0.1, 0.01
+    for _ in range(4):
+        c, t = step(c, t, tau), t + tau
+    assert len(calls) == 4 * per_step
 
 
 # --------------------------------------------------------------------------

@@ -12,6 +12,9 @@ collocation residual, the known exponential decay rate, and frozen charge
 values from this solver (regression guards, quoted to 7 digits).
 """
 
+import math
+from functools import cache
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,6 @@ from diracdg.waves import (
     MMS_C1,
     MMS_C2,
     MMSSource,
-    _power_jet,
     decay_rate,
     load_profile,
     mms_space_jet,
@@ -346,7 +348,7 @@ def test_mms_source_values_equal_the_jet_value(kappa):
     src = MMSSource(NLDModel(kappa=kappa))
     for t in (0.0, 0.35, 1.7):
         want = src.jet(*space.points, t, depth=1)["val"]
-        np.testing.assert_array_equal(src.values(space, t), want)
+        np.testing.assert_array_equal(src.jet(*space.points, t, depth=0)["val"], want)
         assert sorted(src.jet(*space.points, t, depth=0)) == ["val"]
 
 
@@ -367,6 +369,62 @@ def test_mms_jet_depths_agree_bit_for_bit(kappa):
                 assert list(shallow) == list(deep)[: depth + 1]
                 for key, val in shallow.items():
                     assert val.tobytes() == deep[key].tobytes(), (depth, key)
+
+
+# d^k/dz^k exp(-s z^2) = h_k(z; s) exp(-s z^2), written apart from waves._HERMITE
+# so that the reference below shares no code with what it checks
+_REF_HERMITE = (
+    lambda z, s: 1.0,
+    lambda z, s: -2.0 * s * z,
+    lambda z, s: 4.0 * s * s * z * z - 2.0 * s,
+    lambda z, s: -8.0 * s**3 * z**3 + 12.0 * s * s * z,
+)
+
+
+def _power_jet(x, y, t, p: int):
+    """(a, b, c) -> d_x^a d_y^b d_t^c phi^p for an integer p >= 1 and
+    a, b <= 3, where phi^p = t^(4p) E^p and E = exp(-5(x^2+y^2)).  E^p is
+    taken by repeated multiplication, and each derivative is formed once,
+    when first asked for."""
+    E = np.exp(-5.0 * (x * x + y * y))
+    Ep = E
+    for _ in range(p - 1):
+        Ep = Ep * E
+    n, s = 4 * p, 5.0 * p
+
+    @cache
+    def d(a: int, b: int, c: int):
+        # d^c/dt^c t^n = n (n-1) ... (n-c+1) t^(n-c)
+        return (math.perm(n, c) * t ** (n - c) * _REF_HERMITE[a](x, s)
+                * _REF_HERMITE[b](y, s) * Ep)
+
+    return d
+
+
+def _field_of(f):
+    z = np.zeros_like(f)
+    return np.stack([MMS_C1 * f, MMS_C2 * f, z, z])
+
+
+def test_mms_field_and_space_jet_are_the_power_jet_bits():
+    # perm(4, 0) = 1, so the closed form t^4 h_a h_b E multiplies in the
+    # reference's order and must give its bits, at one time for all points
+    # and at a time per point
+    from diracdg.mesh import DGSpace2D, Grid2D
+
+    space = DGSpace2D(Grid2D(-2.0, 2.0, 7, -1.5, 2.5, 5), 2)
+    rng = np.random.default_rng(29)
+    for x, y in (space.points, space.edge_points["x"], rng.uniform(-1, 1, (2, 40))):
+        per_point = rng.uniform(0.0, 2.0, np.broadcast_shapes(x.shape, y.shape))
+        for t in (0.0, 0.3, 1.7, per_point):
+            phi = _power_jet(x, y, t, 1)
+            assert mms_state(x, y, t).tobytes() == _field_of(phi(0, 0, 0)).tobytes()
+            jet = mms_space_jet(x, y, t)
+            assert list(jet) == ["u", "x", "y", "xx", "xy", "yy",
+                                 "xxx", "xxy", "xyy", "yyy"]
+            for key, val in jet.items():
+                want = _field_of(phi(key.count("x"), key.count("y"), 0))
+                assert val.tobytes() == want.tobytes(), key
 
 
 def _reference_mms_jet(src, x, y, t, keys):
