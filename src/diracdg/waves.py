@@ -38,7 +38,7 @@ is again a power of t times a Gaussian, whose every derivative is a falling
 factorial in t times Hermite-type polynomials in x and y.  `mms_state` and
 `mms_space_jet` are that closed form, and `MMSSource.jet` is the one entry to
 the forcing.  Both are pinned against a general d_x^a d_y^b d_t^c phi^p kept
-apart from this module, `_power_jet` in tests/test_waves.py.
+apart from this module, the power-jet reference in tests/test_waves.py.
 """
 
 from __future__ import annotations
@@ -537,7 +537,7 @@ class MMSSource:
     while it is in use.
 
     `jet` is the one entry: each scheme passes it `*space.points` or
-    `*space.edge_points[axis]`.  Its reference is `_power_jet` in
+    `*space.edge_points[axis]`.  Its reference is the power jet in
     tests/test_waves.py, which forms each derivative of phi and phi^p whole.
     """
 
