@@ -18,9 +18,9 @@ which leaves, for any input jet, forced or not,
     u_ttt = -sum_e A_e (sum_d u_dde) + M_lap + R_lap
             - sum_d A_d (M_td + R_td) + M_tt + R_tt,
 
-with M_lap = sum_d M_dd and R_lap = sum_d R_dd.  So the mixed key xy
-(rho_xy, g_xy, M_xy) and u_txx, u_txy, u_tyy, u_ttx, u_tty are never
-formed (in 1D, u_txx and u_ttx), and the source's R_xy is not read.
+with M_lap = sum_d M_dd and R_lap = sum_d R_dd, one source key ("lap").  So
+the mixed key xy (rho_xy, g_xy, M_xy) and u_txx, u_txy, u_tyy, u_ttx, u_tty
+are never formed (in 1D, u_txx and u_ttx), and no source R_dd or R_xy.
 
 M_k follows from the product and chain rules through rho = <u, u> (the
 sigma3 pairing).  One first-order and one second-order rule serve every
@@ -141,9 +141,9 @@ def time_jet(space_jet, model, depth: int = 3, source=None, m_jet: bool = True):
 
     space_jet: dict with keys 'u', 'x' ('y'), and for depth 3 also
         'xx' ('xy', 'yy'), 'xxx' ('xxy', 'xyy', 'yyy'); arrays (4, ...).
-    source: dict of source derivatives with keys 'val', 't', and for
-        depth 3 'x' ('y'), 'xx' ('yy'), 'tx' ('ty'), 'tt'; arrays of the
-        jet's shape, or None.  Other keys are not read.
+    source: dict of source derivatives, or None: 'val', and at depth 3 't',
+        'x' ('y'), 'lap' (R_xx + R_yy), 'tx' ('ty') and 'tt', arrays of the
+        jet's shape.  Other keys are not read; a missing one is a KeyError.
     depth: 1 returns {'t', 'M', 'Mt'}; 3 adds {'tt', 'ttt', 'Mtt', 'Mttt'}.
     m_jet: False leaves out every M output ('M', 'Mt', and at depth 3
         'Mtt', 'Mttt') and the work that only they need.
@@ -198,12 +198,12 @@ def _minus_A(dirs, terms):
     return out
 
 
-def _u_tk(U, k, dirs, Vk, Rk):
+def _u_tk(U, k, dirs, Vk, source):
     """u_tk = -sum_d A_d u_kd + gamma V_k (+ R_k)."""
     out = _minus_A(dirs, [U["".join(sorted(k + d))] for d in dirs])
     add_rows(out, GAMMA_ROWS, Vk)
-    if Rk is not None:
-        out += Rk
+    if source is not None:
+        out += source[k or "val"]
     return out
 
 
@@ -220,11 +220,10 @@ def _time_jet_block(space_jet, model, depth, source, m_jet):
     u = space_jet["u"]
     U = dict(space_jet)
     dirs = [a for a in "xy" if a in space_jet]
-    src = source or {}
     su = apply_rows(_SIGMA3, u)
     g0, g1, g2, g3 = model.g_jet(_pair(su, u), depth)
     V = {"": g0 * u}
-    U["t"] = _u_tk(U, "", dirs, V[""], src.get("val"))
+    U["t"] = _u_tk(U, "", dirs, V[""], source)
     if depth == 1 and not m_jet:
         return {"t": U["t"]}
 
@@ -234,7 +233,7 @@ def _time_jet_block(space_jet, model, depth, source, m_jet):
         g[k] = g1 * rho[k]
         V[k] = g[k] * u + g0 * U[k]
         if depth > 1:
-            U["t" + k] = _u_tk(U, k, dirs, V[k], src.get(k))
+            U["t" + k] = _u_tk(U, k, dirs, V[k], source)
     if depth == 1:
         return {"t": U["t"], "M": apply_rows(GAMMA_ROWS, V[""]),
                 "Mt": apply_rows(GAMMA_ROWS, V["t"])}
@@ -263,15 +262,15 @@ def _time_jet_block(space_jet, model, depth, source, m_jet):
     uttt = _minus_A(dirs, [reduce(np.add, [U["".join(sorted(d + d + e))]
                                            for d in dirs]) for e in dirs])
     add_rows(uttt, GAMMA_ROWS, V_lap)
+    if source is not None:
+        uttt += source["lap"]
     for d in dirs:
-        if d + d in src:
-            uttt += src[d + d]
         add_rows(uttt, _MINUS_A_GAMMA[d], V["t" + d])
-        if "t" + d in src:
-            add_rows(uttt, _MINUS_A[d], src["t" + d])
+        if source is not None:
+            add_rows(uttt, _MINUS_A[d], source["t" + d])
     add_rows(uttt, GAMMA_ROWS, V["tt"])
-    if "tt" in src:
-        uttt += src["tt"]
+    if source is not None:
+        uttt += source["tt"]
     out = {"t": U["t"], "tt": U["tt"], "ttt": uttt}
     if not m_jet:
         return out

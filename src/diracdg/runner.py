@@ -193,7 +193,17 @@ def _validate(cfg: RunConfig):
     box = ((cfg.xmin, cfg.xmax), (cfg.ymin, cfg.ymax))[: cfg.dim]
     names = Counter(f"{s:g}" for s in cfg.snapshots)
     clash = sorted(s for s in cfg.snapshots if names[f"{s:g}"] > 1)
+    # a key the run cannot use keeps its default: a 1D run has no y axis, and
+    # the manufactured problem solves no wave profile
+    flat, default = config_to_flat(cfg), config_to_flat(RunConfig())
+    no_y = [f"{k} = {v}" for k, v in flat.items() if cfg.dim == 1 and v and (
+        k in ("grid.ny", "grid.ymin", "grid.ymax") or k.endswith(".y0"))]
+    no_profile = [f"{k} = {flat[k]}" for k in ("ic.wave_R", "ic.wave_N")
+                  if cfg.ic == "mms" and flat[k] != default[k]]
     for bad, msg in (
+        (no_y, f"a 1D run has no y axis: {', '.join(no_y)} must be 0"),
+        (no_profile, f"ic.type = mms solves no wave profile: {', '.join(no_profile)} "
+                     f"must keep the defaults ic.wave_R = 0.0 and ic.wave_N = 256"),
         ("mms" in (cfg.ic, cfg.source) and cfg.dim != 2,
          "the manufactured problem is two-dimensional"),
         ("mms" in (cfg.ic, cfg.source)

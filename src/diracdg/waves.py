@@ -36,9 +36,10 @@ schemes consume.  Its nonlinear part is closed form: the density is
 m phi + c_p phi^p with p = 2 kappa + 1, and phi^p = t^(4p) exp(-5p(x^2+y^2))
 is again a power of t times a Gaussian, whose every derivative is a falling
 factorial in t times Hermite-type polynomials in x and y.  `mms_state` and
-`mms_space_jet` are that closed form, and `MMSSource.jet` is the one entry to
-the forcing.  Both are pinned against a general d_x^a d_y^b d_t^c phi^p kept
-apart from this module, the power-jet reference in tests/test_waves.py.
+`mms_space_jet` are that closed form; `MMSSource.jet`, the one entry to the
+forcing, weighs one block of such factors per group of source keys.  All three
+are pinned against a general d_x^a d_y^b d_t^c phi^p kept apart from this
+module, the power-jet reference in tests/test_waves.py.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -447,58 +449,35 @@ def mms_space_jet(x, y, t):
             for k in _jet_keys("xy", 3)}
 
 
-# The rows of a point set's factor block: S_ab is "ab" and S^p_ab is "abp".
-# The four factors a key reads, S_ab, S_(a+1)b, S_a(b+1) and S^p_ab, lie on
-# equally spaced rows, so each key is one matrix product over a strided view.
-# No key reads S^p_11 ("11p"), so its row is never made; it holds its place
-# because no order of the other 15 keeps both the spacing and the order in
-# which each key's product sums its factors.
-_FACTOR_ROWS = ("11", "00", "00p", "10", "01", "21", "10p", "30",
-                "01p", "20", "11p", "20p", "02", "03", "02p", "12")
+# Each source key's factor group and order c in t, in the order the depths add
+# them ("val", "t", then depth 3, whose one second space derivative is the
+# Laplacian "lap" = R_xx + R_yy), and the (a, b) whose factors each group sums.
+_MMS_KEYS = {"val": ("", 0), "t": ("", 1), "x": ("x", 0), "y": ("y", 0),
+             "lap": ("lap", 0), "tx": ("x", 1), "ty": ("y", 1), "tt": ("", 2),
+             "ttt": ("", 3)}
+_GROUPS = {"": ((0, 0),), "x": ((1, 0),), "y": ((0, 1),), "lap": ((2, 0), (0, 2))}
 
 
-def _gaussian_factors(x, y, p: int):
-    """(a, b) -> the factors S_ab, S_(a+1)b, S_a(b+1) and S^p_ab as a
-    (4, *points) view, and which of the four each row holds, where
-    S^k_ab = h_a(x; 5k) h_b(y; 5k) E^k with E = exp(-5(x^2+y^2)) is the
-    t-independent factor of d_x^a d_y^b phi^k.  Each row is made once, when
-    first asked for; E^p is taken by repeated multiplication."""
-    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-    block = np.empty((len(_FACTOR_ROWS), *shape))
-    made = set()
-
-    def row(name: str) -> int:
-        i = _FACTOR_ROWS.index(name)
-        if i in made:
-            return i
-        a, b, power = int(name[0]), int(name[1]), name[2:]
-        k = p if power else 1
-        if a or b:
-            s = 5.0 * k
-            np.multiply(_HERMITE[a](x, s) * _HERMITE[b](y, s),
-                        block[row("00" + power)], out=block[i])
-        elif k == 1:
-            np.exp(-5.0 * (x * x + y * y), out=block[i])
-        else:
-            E = block[row("00")]
-            np.multiply(E, E, out=block[i])
-            for _ in range(k - 2):
-                np.multiply(block[i], E, out=block[i])
-        made.add(i)
-        return i
-
-    def factors(a: int, b: int):
-        at = [row(n) for n in (f"{a}{b}", f"{a + 1}{b}", f"{a}{b + 1}", f"{a}{b}p")]
-        lo, step = min(at), (max(at) - min(at)) // 3
-        return block[lo : max(at) + 1 : step], np.argsort(at)
-
-    return factors
-
-
-# the source keys in the order the depths add them: the value at depth 0,
-# "t" at depth 1 and the rest at depth 3 (no "xy": the cascade's u_ttt
-# reads the source's Laplacian, R_xx + R_yy, and no mixed space key)
-_MMS_KEYS = ("val", "t", "x", "y", "xx", "yy", "tx", "ty", "tt", "ttt")
+def _factor_block(x, y, p: int, group: str, base=None):
+    """The (4, *points) block [S_ab, S^p_ab, S_(a+1)b, S_a(b+1)], each row
+    summed over the group's (a, b) and built in place.  Group "" comes first:
+    its rows E and E^p (by repeated multiplication) are the `base` that the
+    other groups read."""
+    block = np.empty((4, *np.broadcast_shapes(np.shape(x), np.shape(y))))
+    if base is None:
+        base = block
+        np.exp(-5.0 * (x * x + y * y), out=block[0])
+        np.copyto(block[1], block[0])
+        for _ in range(p - 1):
+            block[1] *= block[0]
+    for i, (da, db) in enumerate(((0, 0), (0, 0), (1, 0), (0, 1))):
+        if block is base and i < 2:
+            continue
+        s = 5.0 * (p if i == 1 else 1)
+        h = reduce(np.add, [_HERMITE[a + da](x, s) * _HERMITE[b + db](y, s)
+                            for a, b in _GROUPS[group]])
+        np.multiply(h, base[1 if i == 1 else 0], out=block[i])
+    return block
 
 
 class MMSSource:
@@ -523,18 +502,18 @@ class MMSSource:
         d_x^a d_y^b d_t^c phi^k = perm(4k, c) t^(4k-c) S^k_ab,
         S^k_ab = h_a(x; 5k) h_b(y; 5k) exp(-5k (x^2+y^2)),
 
-    and the key (a, b, c) of R is a sum of S_ab, S_(a+1)b, S_a(b+1) and
-    S^p_ab (S = S^1) with scalar weights made of those t factors and c1,
+    and the key (a, b, c) of R is a sum of S_ab, S^p_ab, S_(a+1)b and
+    S_a(b+1) (S = S^1) with scalar weights made of those t factors and c1,
     c2, m and c_p: one product of a 4 x 4 weight matrix with those four
     factors, written straight into the key's (4, ...) array (with a matrix
-    per point when t is an array of times per point).  The factors
-    S_ab (a + b <= 3) and S^p_ab (a + b <= 2) are kept per point set, as
-    rows of one block of 16 full arrays of the points' shape, each made when
-    first used, for the latest three point sets (the volume and the two edge
-    sets of a step).  The keys read 15 of them (none reads S^p_11), 11.6 MB
-    in all at 80^2 P2.  A point set is known by the identity of its x and y
-    arrays, which the source holds, so they must not be changed in place
-    while it is in use.
+    per point when t is an array of times per point).  R_xx and R_yy share
+    their weights, so "lap" reads the factors of (2, 0) plus those of (0, 2).
+    Each point set keeps one (4, *points) block per group of keys ("" for
+    val and its t derivatives, "x", "y", "lap"), made when first used, for
+    the latest three point sets (a step's volume and two edge sets): 16
+    arrays of the points' shape at depth 3, 12.3 MB at 80^2 P2.  A point set
+    is known by the identity of its x and y arrays, which the source holds,
+    so they must not be changed in place while it is in use.
 
     `jet` is the one entry: each scheme passes it `*space.points` or
     `*space.edge_points[axis]`.  Its reference is the power jet in
@@ -549,43 +528,42 @@ class MMSSource:
         self.model = model
         self.p = 2 * int(kappa) + 1
         self.cp = -(kappa + 1.0) * model.lam * _MMS_SIG ** int(kappa)
-        # R over (S_ab, S_(a+1)b, S_a(b+1), S^p_ab) is the sum of these
+        # R over (S_ab, S^p_ab, S_(a+1)b, S_a(b+1)) is the sum of these
         # matrices times d_t^(c+1) t^4, d_t^c t^4 and d_t^c t^(4p); column j
         # weighs factor j, and + 0.0 turns the -0.0 entries into 0.0
         C = np.array([MMS_C1, MMS_C2, 0.0, 0.0])
         Z, gC = np.zeros(4), GAMMA @ C
         self._weights = (
             np.column_stack([C, Z, Z, Z]),
-            np.column_stack([-model.m * gC, *(DIRECTIONS[d].matrix @ C for d in "xy"),
-                             Z]) + 0.0,
-            np.column_stack([Z, Z, Z, -self.cp * gC]) + 0.0,
+            np.column_stack([-model.m * gC, Z,
+                             *(DIRECTIONS[d].matrix @ C for d in "xy")]) + 0.0,
+            np.column_stack([Z, -self.cp * gC, Z, Z]) + 0.0,
         )
-        self._point_sets = []  # (x, y, factors), the latest last
+        self._point_sets = []  # (x, y, {group: block}), the latest last
 
-    def _factors(self, x, y):
-        for px, py, factors in self._point_sets:
-            if px is x and py is y:
-                return factors
-        factors = _gaussian_factors(x, y, self.p)
-        # the latest three: a step's volume points and each axis's edge points
-        self._point_sets = self._point_sets[-2:] + [(x, y, factors)]
-        return factors
+    def _factors(self, x, y, group: str):
+        blocks = next((b for u, v, b in self._point_sets if u is x and v is y), None)
+        if blocks is None:
+            blocks = {"": _factor_block(x, y, self.p, "")}
+            # the latest three: a step's volume points and each axis's edge points
+            self._point_sets = self._point_sets[-2:] + [(x, y, blocks)]
+        if group not in blocks:
+            blocks[group] = _factor_block(x, y, self.p, group, blocks[""])
+        return blocks[group]
 
     def jet(self, x, y, t, depth: int = 3):
-        """Source derivatives at the points (x, y): depth 0 gives only
-        'val', depth 1 adds 't', depth 3 adds 'x', 'y', 'xx', 'yy', 'tx',
-        'ty', 'tt' (the keys `cascade.time_jet` reads) and 'ttt' (read by
-        `lwdg.taylor_state`)."""
-        factors, p = self._factors(x, y), self.p
+        """Source derivatives at the points (x, y): 'val' at depth 0, 't' from
+        depth 1, and at depth 3 'x', 'y', 'lap', 'tx', 'ty', 'tt' (the keys
+        `cascade.time_jet` reads) and 'ttt' (`lwdg.taylor_state`)."""
         # d^c/dt^c of t^4 and of t^(4p), per point when t is an array
         w = [math.perm(4, c) * t ** (4 - c) for c in range(5)]
-        wp = [math.perm(4 * p, c) * t ** (4 * p - c) for c in range(4)]
+        wp = [math.perm(4 * self.p, c) * t ** (4 * self.p - c) for c in range(4)]
         out = {}
-        for key in _MMS_KEYS[: depth + 1] if depth < 2 else _MMS_KEYS:
-            a, b, c = (key.count(axis) for axis in "xyt")  # none in "val"
-            rows, holds = factors(a, b)
+        for key in list(_MMS_KEYS)[: depth + 1] if depth < 2 else _MMS_KEYS:
+            group, c = _MMS_KEYS[key]
+            rows = self._factors(x, y, group)
             W = sum(np.multiply.outer(M, s) for M, s in
-                    zip(self._weights, (w[c + 1], w[c], wp[c])))[:, holds]
+                    zip(self._weights, (w[c + 1], w[c], wp[c])))
             r = out[key] = np.empty(rows.shape)
             if W.ndim == 2:
                 np.matmul(W, rows.reshape(4, -1), out=r.reshape(4, -1))

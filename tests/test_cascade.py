@@ -128,6 +128,22 @@ def test_m_derivatives_against_sixth_order_fd(kappa):
         assert np.abs(tj[key] - fd).max() <= 3e-4 * np.abs(fd).max(), key
 
 
+def test_time_jet_names_a_missing_source_key():
+    """A source dict that lacks a key the cascade reads raises KeyError
+    naming it, rather than dropping that forcing term: one written to the
+    older R_xx/R_yy contract at depth 3, and one without 'val' at depth 1."""
+    model = NLDModel()
+    x, y = np.random.default_rng(5).uniform(-1, 1, (2, 20))
+    sj = mms_space_jet(x, y, 0.3)
+    src = MMSSource(model).jet(x, y, 0.3, depth=3)
+    older = {k: v for k, v in src.items() if k != "lap"}
+    older["xx"] = older["yy"] = 0.5 * src["lap"]
+    with pytest.raises(KeyError, match="lap"):
+        time_jet(sj, model, depth=3, source=older)
+    with pytest.raises(KeyError, match="val"):
+        time_jet(sj, model, depth=1, source={"t": src["t"]})
+
+
 def test_time_jet_depth1_is_a_prefix():
     model = NLDModel()
     x = RNG.uniform(-1, 1, 20)
@@ -240,10 +256,12 @@ def _point_sets(dim, depth, forced):
         if not forced:
             return [(j, None) for j in sets]
         keys = ("val", "t") if depth == 1 else ("val", "t", "x", "xx", "tx", "tt")
-        return [
-            (j, {k: 0.3 * rng.standard_normal(j["u"].shape) for k in keys})
-            for j in sets
-        ]
+        sources = [{k: 0.3 * rng.standard_normal(j["u"].shape) for k in keys}
+                   for j in sets]
+        if depth > 1:
+            for src in sources:
+                src["lap"] = src["xx"]  # the 1D Laplacian is R_xx itself
+        return list(zip(sets, sources))
     space = DGSpace2D(Grid2D(-1.0, 1.0, 13, -0.5, 0.5, 7), 2)
     coeffs = 0.6 * rng.standard_normal(space.zeros().shape)
     src = MMSSource(NLDModel()) if forced else None
@@ -383,11 +401,16 @@ def _random_jet(dim, depth, forced, rng):
            for c in combinations_with_replacement(dirs, n)}
     if not forced:
         return jet, None
-    # every source key up to the depth, the unread mixed one ("xy") too
+    # every source key up to the depth, the unread mixed one ("xy") too, and
+    # the Laplacian the cascade reads, R_xx (+ R_yy), beside the keys that
+    # the reference reads
     keys = {"val", "t"} if depth == 1 else {"val", "t", "tt"} | {
         "".join(c) for n in (1, 2) for c in combinations_with_replacement(dirs, n)
     } | {"t" + d for d in dirs}
-    return jet, {k: draw() for k in sorted(keys)}
+    src = {k: draw() for k in sorted(keys)}
+    if depth > 1:
+        src["lap"] = src["xx"] + src["yy"] if dim == 2 else src["xx"]
+    return jet, src
 
 
 @pytest.mark.parametrize("kappa", [1.0, 2.0, 3.0])

@@ -17,6 +17,12 @@ code at hand from the fixture's inputs in `_cases()` order (equal hashes on
 two trees mean bit-identical steps), with
 
     PYTHONPATH=src python tests/test_golden_steps.py --hash
+
+A second line hashes the manufactured source itself: every key of
+`MMSSource.jet(..., depth=3)` on the volume and edge points of the 2D
+golden meshes, at t = 0.25 and 1.0, for kappa = 1 and 2.  At T0 = 0.25 the
+source is about t^4 = 0.4 % of a forced step's state, so a rounding change
+in the source can leave the first line as it was.
 """
 
 import hashlib
@@ -184,9 +190,26 @@ def results_hash():
     return h.hexdigest()
 
 
+def source_hash():
+    """sha256 over every depth-3 source key on each 2D golden mesh's volume
+    and edge points, at t = 0.25 and 1.0, for kappa = 1 and 2."""
+    h = hashlib.sha256()
+    for q in (1, 2, 3):
+        space = SPACES["2d"](q)
+        for kappa in (1.0, 2.0):
+            src = MMSSource(NLDModel(kappa=kappa))
+            for points in (space.points, *space.edge_points.values()):
+                for t in (0.25, 1.0):
+                    for key, val in src.jet(*points, t, depth=3).items():
+                        h.update(key.encode())
+                        h.update(val.tobytes())
+    return h.hexdigest()
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--hash"]:
         print(results_hash())
+        print(source_hash())
     elif sys.argv[1:]:
         sys.exit(f"usage: {sys.argv[0]} [--hash]")
     else:

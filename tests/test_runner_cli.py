@@ -57,14 +57,16 @@ def _not_a_number(s: str) -> bool:
 _safe_label = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz0123456789-_", min_size=1, max_size=12
 ).filter(_not_a_number)
-_wave = st.builds(
-    WaveSpec,
-    omega=st.floats(0.05, 0.95),
-    v=st.floats(-0.9, 0.9),
-    x0=st.floats(-20, 20),
-    y0=st.floats(-20, 20),
-    S=st.integers(0, 2),
-)
+def _wave(dim):
+    # a 1D run has no y axis, so its waves keep y0 = 0
+    return st.builds(
+        WaveSpec,
+        omega=st.floats(0.05, 0.95),
+        v=st.floats(-0.9, 0.9),
+        x0=st.floats(-20, 20),
+        y0=st.floats(-20, 20) if dim == 2 else st.just(0.0),
+        S=st.integers(0, 2),
+    )
 
 
 @st.composite
@@ -91,7 +93,7 @@ def _configs(draw):
         source="mms" if mms else "none",
         waves=()
         if mms
-        else tuple(draw(st.lists(_wave, min_size=0, max_size=3))),
+        else tuple(draw(st.lists(_wave(dim), min_size=0, max_size=3))),
         probe=draw(
             st.sampled_from([(), (0.0,), (1.5,)])
             if dim == 1
@@ -616,12 +618,19 @@ _FAST_MMS = RunConfig(
         (replace(_FAST_MMS, kappa=-1.0), "model.kappa"),
         (replace(_FAST_MMS, source="none"), "ic.source"),
         (replace(_FAST_MMS, ic="waves", waves=(WaveSpec(omega=0.8),)), "ic.source"),
+        (replace(FAST_1D, ny=50), "grid.ny = 50"),
+        (replace(FAST_1D, ymin=-3.0, ymax=7.0), "grid.ymin = -3.0, grid.ymax = 7.0"),
+        (replace(FAST_1D, waves=(WaveSpec(omega=0.8), WaveSpec(y0=4.0))),
+         "ic.wave2.y0 = 4.0"),
+        (replace(_FAST_MMS, wave_R=5.0), "ic.wave_R = 5.0"),
+        (replace(_FAST_MMS, wave_N=17), "ic.wave_N = 17"),
     ],
     ids=["x-reversed", "x-empty", "2d-no-ny", "y-reversed", "history-every-0",
          "no-cells", "no-waves", "1d-mms-source", "negative-nodes",
          "negative-radius", "negative-spin", "mms-fractional-kappa",
          "mms-source-fractional-kappa", "mms-negative-kappa", "mms-unforced",
-         "waves-forced"],
+         "waves-forced", "1d-ny", "1d-y-range", "1d-wave-y0", "mms-wave-radius",
+         "mms-wave-nodes"],
 )
 def test_cli_rejects_degenerate_config(capsys, tmp_path, cfg, words):
     cfgfile = tmp_path / "bad.cfg"

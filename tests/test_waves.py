@@ -362,7 +362,7 @@ def test_mms_jet_depths_agree_bit_for_bit(kappa):
     for points in (space.points, space.edge_points["x"]):
         for t in (0.35, 1.7):
             deep = src.jet(*points, t, depth=3)
-            assert list(deep) == ["val", "t", "x", "y", "xx", "yy",
+            assert list(deep) == ["val", "t", "x", "y", "lap",
                                   "tx", "ty", "tt", "ttt"]
             for depth in (0, 1):
                 shallow = src.jet(*points, t, depth=depth)
@@ -429,16 +429,17 @@ def test_mms_field_and_space_jet_are_the_power_jet_bits():
 
 def _reference_mms_jet(src, x, y, t, keys):
     """The source from `_power_jet`: each derivative of phi and phi^p formed
-    whole, then R assembled component by component."""
+    whole, then R assembled component by component; "lap" is R_xx + R_yy."""
     phi, phip = _power_jet(x, y, t, 1), _power_jet(x, y, t, src.p)
-    out = {}
-    for key in keys:
+
+    def R(key):
         a, b, c = (key.count(axis) for axis in "xyt")
         ft, fx, fy = phi(a, b, c + 1), phi(a + 1, b, c), phi(a, b + 1, c)
         G = src.model.m * phi(a, b, c) + src.cp * phip(a, b, c)
-        out[key] = np.stack([MMS_C1 * ft + MMS_C2 * fx, MMS_C2 * ft + MMS_C1 * fx,
-                             -MMS_C2 * fy + MMS_C1 * G, MMS_C1 * fy - MMS_C2 * G])
-    return out
+        return np.stack([MMS_C1 * ft + MMS_C2 * fx, MMS_C2 * ft + MMS_C1 * fx,
+                         -MMS_C2 * fy + MMS_C1 * G, MMS_C1 * fy - MMS_C2 * G])
+
+    return {key: R("xx") + R("yy") if key == "lap" else R(key) for key in keys}
 
 
 @pytest.mark.parametrize("kappa", [0.0, 1.0, 2.0, 3.0])
@@ -451,7 +452,7 @@ def test_mms_jet_equals_the_power_jet_reference(kappa):
     space = DGSpace2D(Grid2D(-2.0, 2.0, 7, -1.5, 2.5, 5), 2)
     src = MMSSource(NLDModel(kappa=kappa))
     rng = np.random.default_rng(19)
-    keys = ["val", "t", "x", "y", "xx", "yy", "tx", "ty", "tt", "ttt"]
+    keys = ["val", "t", "x", "y", "lap", "tx", "ty", "tt", "ttt"]
     for points in (space.points, *space.edge_points.values()):
         per_point = rng.uniform(0.0, 1.0, np.broadcast_shapes(*map(np.shape, points)))
         for t in (0.0, 0.03, 1.0, per_point):
@@ -479,14 +480,24 @@ def test_mms_jet_on_copied_points_is_the_same_bits():
 
 
 def test_mms_source_keeps_factors_for_three_point_sets():
+    # one contiguous (4, *points) block per group of keys, each made when
+    # first used: val and t read only the block of group ""
     src, rng = MMSSource(NLDModel()), np.random.default_rng(19)
     for n in range(5):
         x, y = rng.uniform(-1, 1, (2, 10 + n))
         src.jet(x, y, 0.5, depth=1)
         assert len(src._point_sets) == min(n + 1, 3)
-    held = list(src._point_sets)
-    src.jet(x, y, 0.7, depth=3)  # the latest set again: no new factors
-    assert src._point_sets == held
+        assert list(src._point_sets[-1][2]) == [""]
+    held = [(px, py, dict(blocks)) for px, py, blocks in src._point_sets]
+    src.jet(x, y, 0.7, depth=3)  # the latest set again: no new point set
+    assert len(src._point_sets) == len(held)
+    for (px, py, blocks), (hx, hy, had) in zip(src._point_sets, held):
+        assert px is hx and py is hy
+        assert all(blocks[g] is block for g, block in had.items())
+    blocks = src._point_sets[-1][2]
+    assert list(blocks) == ["", "x", "y", "lap"]
+    for block in blocks.values():
+        assert block.shape == (4, x.size) and block.flags.c_contiguous
 
 
 def _hand_written_weights(src):
@@ -504,8 +515,10 @@ def _hand_written_weights(src):
 
 @pytest.mark.parametrize("kappa", [0.0, 1.0, 2.0, 3.0])
 def test_mms_weights_from_the_direction_table_are_the_hand_written_ones(kappa):
+    # the hand-written columns weigh S_ab, S_(a+1)b, S_a(b+1) and S^p_ab; a
+    # factor block holds them in the order S_ab, S^p_ab, S_(a+1)b, S_a(b+1)
     src = MMSSource(NLDModel(kappa=kappa))
-    want = _hand_written_weights(src)
+    want = [M[:, [0, 3, 1, 2]] for M in _hand_written_weights(src)]
     assert len(src._weights) == len(want)
     for got, ref in zip(src._weights, want):
         assert got.dtype == ref.dtype and got.shape == ref.shape
