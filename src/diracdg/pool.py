@@ -3,15 +3,19 @@
 A 2D step at full scale spends most of its time in two layers whose work
 splits into independent parts: the pointwise cascade of `cascade.time_jet`
 (its blocks of points) and the basis contractions of `mesh.table_dot`
-(the rows of one matmul).  numpy releases the interpreter lock inside
-both, so two threads run them on two cores.  The pool has two worker
+(the rows of one matmul).  A third layer is the wave-profile sum of
+`waves._clenshaw` (its blocks of points), which the projection of the
+initial state and the exact-error evaluation pay on a full-scale wave mesh.
+numpy releases the interpreter lock inside all three, so two threads run
+them on two cores.  The pool has two worker
 threads, or one where the process may run on only one CPU; nothing else
 selects it.
 
-A call goes through the pool when its operand holds at least
-`MIN_ELEMENTS` elements (`large`); every smaller call runs on the calling
-thread as before.  Both layers split only pointwise work or whole rows,
-so a pooled result equals the serial one bit for bit.
+A call goes through the pool when its operand (for the profile sum, its
+result) holds at least `MIN_ELEMENTS` elements (`large`); every smaller
+call runs on the calling thread as before.  All three layers split only
+pointwise work or whole rows, so a pooled result equals the serial one bit
+for bit.
 
 Creating the pool applies the policy of `diracdg.heap` first, so the
 worker threads allocate from the one heap arena that policy keeps mapped

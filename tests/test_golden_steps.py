@@ -23,9 +23,16 @@ A second line hashes the manufactured source itself: every key of
 golden meshes, at t = 0.25 and 1.0, for kappa = 1 and 2.  At T0 = 0.25 the
 source is about t^4 = 0.4 % of a forced step's state, so a rounding change
 in the source can leave the first line as it was.
+
+A third line hashes the wave profiles behind the set-up: p and w of every
+distinct profile that a `PRESETS` config or perfbench's two wave workloads
+(`soliton-1d`, `travelling-2d`) solve, with their configs' `wave_R` and
+`wave_N`, in the order those configs first name them.  A change to the
+profile solve can leave both step hashes as they were.
 """
 
 import hashlib
+import importlib.util
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -33,12 +40,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from diracdg import cascade, pool
+from diracdg import cascade, pool, runner
+from diracdg.heap import keep_freed_heap_mapped
 from diracdg.integrators import rk4_step
 from diracdg.lwdg import lwdg_step
 from diracdg.mesh import DGSpace1D, DGSpace2D, Grid1D, Grid2D
 from diracdg.model import NLDModel
-from diracdg.runner import RunConfig, make_stepper
+from diracdg.runner import PRESETS, RunConfig, WaveSpec, make_stepper, preset_config
 from diracdg.semidiscrete import rkdg_residual
 from diracdg.tsdg import tsdg_step
 from diracdg.waves import MMSSource
@@ -206,10 +214,44 @@ def source_hash():
     return h.hexdigest()
 
 
+def _bench_wave_configs():
+    """The RunConfigs of perfbench's two wave workloads (seed 1; the seed
+    draws only the waves' placement and boost)."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "run.py")
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    for name in ("soliton-1d", "travelling-2d"):
+        fields = dict(bench.WORKLOADS[name](np.random.default_rng(1))["cfg"])
+        fields["waves"] = tuple(WaveSpec(**w) for w in fields["waves"])
+        fields["probe"] = tuple(fields["probe"])
+        yield RunConfig(**fields)
+
+
+def profile_hash():
+    """sha256 over p and w of every distinct profile that the presets (desk
+    and full scale) and perfbench's wave workloads solve, under the heap
+    policy a run applies: its one BLAS thread rounds the dense solves of
+    the Newton iteration as a run does, whatever the environment asks."""
+    keep_freed_heap_mapped()
+    cfgs = [preset_config(name, full) for name in PRESETS for full in (False, True)]
+    profiles = {}  # id -> profile; the runner's cache gives one object per key
+    for cfg in [*cfgs, *_bench_wave_configs()]:
+        for wave in cfg.waves:
+            prof = runner._get_profile(wave, cfg)
+            profiles.setdefault(id(prof), prof)
+    h = hashlib.sha256()
+    for prof in profiles.values():
+        h.update(prof.p.tobytes())
+        h.update(prof.w.tobytes())
+    return h.hexdigest()
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--hash"]:
         print(results_hash())
         print(source_hash())
+        print(profile_hash())
     elif sys.argv[1:]:
         sys.exit(f"usage: {sys.argv[0]} [--hash]")
     else:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diracdg import cli, runner
+from diracdg import cli, runner, waves
 from diracdg.cli import build_parser, main
 from diracdg.errors import ConfigError, DiracDGError
 from diracdg.integrators import cfl_dt
@@ -489,6 +489,21 @@ def test_cli_wave_names_collapse_onto_zero(capsys, flag):
     err = capsys.readouterr().err
     assert "collapsed onto the trivial solution" in err
     assert "no convergence" not in err
+
+
+def test_cli_wave_stops_an_attempt_at_a_non_finite_iterate(capsys, monkeypatch):
+    # R = 1e300 overflows the first iterate; a bound written as max|p| > 1e6
+    # is False for NaN, which let every attempt run all 200 iterations
+    attempts, solves = [], []
+    newton, solve = waves._newton_profile, np.linalg.solve
+    monkeypatch.setattr(waves, "_newton_profile",
+                        lambda *a: attempts.append(None) or newton(*a))
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(None) or solve(*a))
+    with np.errstate(all="ignore"):
+        assert main(["wave", "--omega", "0.8", "--R", "1e300"]) == 3
+    err = capsys.readouterr().err
+    assert "no convergence after 1 iterations (residual nan)" in err
+    assert attempts and len(solves) <= len(attempts)
 
 
 @pytest.mark.parametrize("message", [

@@ -18,6 +18,7 @@ from functools import cache
 import numpy as np
 import pytest
 
+from diracdg import pool, waves
 from diracdg.errors import ConfigError, DomainError
 from diracdg.model import NLDModel
 from diracdg.waves import (
@@ -132,6 +133,22 @@ def test_2d_deep_frequency_via_continuation():
     assert decay_rate(prof) == pytest.approx(prof.decay_exponent, rel=0.05)
 
 
+@pytest.mark.parametrize("omega, dim, kappa, most", [
+    (0.8, 1, 2.0, 11),   # soliton-1d: a first seed that collapses onto phi = 0
+    (0.8, 2, 1.0, 7),    # travelling-2d and the 2D cubic presets
+    (0.94, 2, 2.0, 90),  # ex48-breathing: continuation from omega = 0.8
+], ids=["soliton-1d", "travelling-2d", "ex48"])
+def test_profile_takes_full_newton_steps_near_the_root(monkeypatch, omega, dim,
+                                                       kappa, most):
+    """Full steps from max|delta| < 0.1 on: released only below 1e-3, the
+    same profiles took 22, 12 and 206 solves (182 on two BLAS threads)."""
+    calls, solve = [], np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(None) or solve(*a))
+    prof = solve_standing_wave(omega, dim=dim, model=NLDModel(kappa=kappa))
+    assert prof.residual < 1e-10
+    assert len(calls) <= most
+
+
 def test_resolution_insensitivity():
     a = solve_standing_wave(0.8, dim=1, N=200)
     b = solve_standing_wave(0.8, dim=1, N=256)
@@ -195,6 +212,32 @@ def test_phi_chi_does_not_depend_on_the_clenshaw_blocks(prof_2d):
     parts = [prof_2d.phi_chi(r[lo : lo + 3000]) for lo in range(0, r.size, 3000)]
     for i in (0, 1):
         np.testing.assert_array_equal(whole[i], np.concatenate([p[i] for p in parts]))
+
+
+def test_pooled_clenshaw_sum_is_the_serial_one(prof_2d, monkeypatch):
+    """Above the pool's size rule the blocks of the sum go through
+    `pool.map`; the result is the bytes of the same blocks summed in turn,
+    for a flat, a 2-D and a 0-d input."""
+    rows = prof_2d._coef.shape[0]
+    n = (pool.MIN_ELEMENTS // (rows * waves._CHUNK) + 2) * waves._CHUNK + 777
+    s = np.linspace(-1.0, 1.0, n)
+    assert pool.large(np.empty((rows, n)))  # several blocks and a remainder
+    mapped = []
+    pooled_map = pool.map
+    monkeypatch.setattr(pool, "map", lambda fn, items: mapped.append(len(items))
+                        or pooled_map(fn, items))
+    pooled = waves._clenshaw(prof_2d._coef, s)
+    pooled_2d = waves._clenshaw(prof_2d._coef, s[:-1].reshape(-1, 2))
+    assert mapped == [n // waves._CHUNK + 1] * 2
+    monkeypatch.setattr(pool, "map", map)
+    serial = waves._clenshaw(prof_2d._coef, s)
+    assert pooled.shape == (rows, n)
+    assert pooled.tobytes() == serial.tobytes()
+    assert pooled_2d.shape == (rows, n // 2, 2)
+    assert pooled_2d.tobytes() == serial[:, :-1].tobytes()
+    point = waves._clenshaw(prof_2d._coef, s[5])
+    assert point.shape == (rows,)
+    assert point.tobytes() == serial[:, 5].tobytes()
 
 
 def test_profile_vanishes_outside_support(prof_2d):
