@@ -32,8 +32,11 @@ Two more settings serve the threads of `diracdg.pool`:
   ``ex46`` timed alike with one BLAS thread and with two, and a 250-step
   run burned twice the CPU time for the same wall time.
 
-The policy changes where memory comes from and which threads compute,
-never a computed value.
+The heap settings change where memory comes from, never a computed value.
+The BLAS thread count can change one: the dense LU solves of a wave
+profile's Newton iteration round differently on two OpenBLAS threads than
+on one, so `waves.solve_standing_wave` applies the policy before it solves,
+as `runner.run_simulation` and the pool do.
 """
 
 from __future__ import annotations

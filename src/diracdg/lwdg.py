@@ -18,6 +18,12 @@ Since F is linear, F(w) is exactly the time-averaged flux of the expansion.
 The full cascade depth is kept for every degree: the nonlinearity makes
 u_ttt nonzero even where the third spatial derivatives vanish.  The edge
 states need w alone, so the cascade at the edge points forms no M.
+
+The sums are formed per block of points, inside `cascade.time_jet` (its
+`then`): the seven time derivatives u_t, u_tt, u_ttt, M, M_t, M_tt and
+M_ttt of the volume points, and u_t, u_tt and u_ttt of the edge points,
+never exist at full size; only w and G do.  Every term is pointwise, so
+each step has the bits of summing the full-size derivatives.
 """
 
 from __future__ import annotations
@@ -33,15 +39,23 @@ def _taylor(tau, f, ft, ftt, fttt):
     return f + (tau / 2.0) * ft + (tau * tau / 6.0) * ftt + (tau**3 / 24.0) * fttt
 
 
+def _w(tau, jet, tj):
+    """The Taylor state u + tau/2 u_t + tau^2/6 u_tt + tau^3/24 u_ttt."""
+    return _taylor(tau, jet["u"], tj["t"], tj["tt"], tj["ttt"])
+
+
 def taylor_state(space_jet, model, tau: float, source=None):
     """(w, G) at the volume points: the Taylor state w and the matching
     combination G of M (+ of the source derivatives when forced)."""
-    tj = time_jet(space_jet, model, depth=3, source=source)
-    w = _taylor(tau, space_jet["u"], tj["t"], tj["tt"], tj["ttt"])
-    G = _taylor(tau, tj["M"], tj["Mt"], tj["Mtt"], tj["Mttt"])
-    if source is not None:
-        G = _taylor(tau, G + source["val"], source["t"], source["tt"], source["ttt"])
-    return w, G
+
+    def sums(jet, tj, src):
+        G = _taylor(tau, tj["M"], tj["Mt"], tj["Mtt"], tj["Mttt"])
+        if src is not None:
+            G = _taylor(tau, G + src["val"], src["t"], src["tt"], src["ttt"])
+        return {"w": _w(tau, jet, tj), "G": G}
+
+    wG = time_jet(space_jet, model, depth=3, source=source, then=sums)
+    return wG["w"], wG["G"]
 
 
 def lwdg_step(space, model, coeffs, t, tau, source=None):
@@ -49,8 +63,8 @@ def lwdg_step(space, model, coeffs, t, tau, source=None):
     w, G = taylor_state(space.volume_jet(coeffs, depth=3), model, tau, svol)
 
     def edge_w(jet, src):  # the Taylor state at edge points, without any M
-        tj = time_jet(jet, model, depth=3, source=src, m_jet=False)
-        return _taylor(tau, jet["u"], tj["t"], tj["tt"], tj["ttt"])
+        return time_jet(jet, model, depth=3, source=src, m_jet=False,
+                        then=lambda j, tj, s: {"w": _w(tau, j, tj)})["w"]
 
     states = cascade_states(space, coeffs, t, source, 3, edge_w)
     return coeffs + tau * weak_form(space, w, G, states) / space.mass

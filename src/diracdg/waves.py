@@ -23,7 +23,11 @@ a damped Newton iteration, with continuation in omega from a shallow anchor
 wave when a direct solve stalls.  A step is halved (`_DAMPING`) until its
 max|delta| falls below `_FULL_STEP` = 0.1, and taken whole from there on;
 an attempt whose max|p| is not <= `_DIVERGED` = 1e3 (NaN included) ends at
-once as diverged.  Each iteration is one dense solve of order 2 (N + 1).
+once as diverged, and the overflow that leads there raises no numpy
+warning: the attempt's `NoConvergence` is the one report.  Each iteration
+is one dense solve of order 2 (N + 1), whose rounding depends on the BLAS
+thread count, so the solve first applies the policy of `diracdg.heap` (one
+BLAS thread), as a run does: a profile solved alone has the run's bits.
 At omega = 0.8 the 1D kappa = 2 wave takes 11 of them (a first seed that
 collapses onto phi = 0 in 4, then 7) and the 2D cubic one 7; the 2D quintic
 wave at omega = 0.94 takes 89, through continuation.  Profiles decay like
@@ -60,6 +64,7 @@ import numpy as np
 
 from . import pool
 from .errors import ConfigError, DomainError, NoConvergence, read_text
+from .heap import keep_freed_heap_mapped
 from .mesh import _jet_keys
 from .model import DIRECTIONS, GAMMA, NLDModel, complex_to_real
 
@@ -277,6 +282,7 @@ def solve_standing_wave(
         if bad:
             raise ConfigError(msg)
     R = float(R) if R is not None else (40.0 if dim == 1 else 30.0)
+    keep_freed_heap_mapped()  # one BLAS thread: a run's rounding (module docstring)
     r, Dr, cc = _collocation(N, R, dim, S)
 
     # the 2D ground state sits well above the 1D sech scale, and a too-small
@@ -284,17 +290,20 @@ def solve_standing_wave(
     # of seed amplitudes is tried, first at omega itself and then with
     # continuation from the shallow anchor wave omega = 0.8
     factors = (1.0, 1.6) if dim == 1 else (1.8, 1.3, 2.5)
-    for anchor, fac in itertools.product((omega, 0.8), factors):
-        b = np.sqrt(model.m**2 - anchor**2)
-        p, w = fac * np.sqrt(model.m - anchor) / np.cosh(b * r), np.zeros_like(r)
-        try:
-            for om in _continuation_ladder(omega, anchor):
-                p, w, res = _newton_profile(p, w, r, Dr, cc, om, model, S)
-            break
-        except NoConvergence as exc:
-            failure = exc.with_traceback(None)  # frees the attempt's Jacobian
-    else:
-        raise failure
+    # a huge R overflows the seed and the first iterate; the non-finite
+    # stop then ends the attempt, which says so once, without warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for anchor, fac in itertools.product((omega, 0.8), factors):
+            b = np.sqrt(model.m**2 - anchor**2)
+            p, w = fac * np.sqrt(model.m - anchor) / np.cosh(b * r), np.zeros_like(r)
+            try:
+                for om in _continuation_ladder(omega, anchor):
+                    p, w, res = _newton_profile(p, w, r, Dr, cc, om, model, S)
+                break
+            except NoConvergence as exc:
+                failure = exc.with_traceback(None)  # frees the attempt's Jacobian
+        else:
+            raise failure
     prof = WaveProfile(dim, S, float(omega), model, R, N, r, p, w, res)
     # the collocated residual vanishes at any N; the series' tail shows
     # whether N nodes resolve the profile on [0, R]

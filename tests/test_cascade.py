@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
-from diracdg import cascade
+from diracdg import cascade, pool
 from diracdg.cascade import time_jet
 from diracdg.lwdg import taylor_state
 from diracdg.mesh import DGSpace1D, DGSpace2D, Grid1D, Grid2D
@@ -297,6 +297,105 @@ def test_blocked_time_jet_is_bit_identical(monkeypatch, dim, depth, forced, kapp
             monkeypatch.undo()
             _assert_jets_equal(
                 time_jet(jet, model, depth=depth, source=src, m_jet=m_jet), whole)
+
+
+def _pointwise(jet, tj, src):
+    """A `then` for time_jet that reads the jet, the cascade output and the
+    source point by point."""
+    out = {"a": jet["u"] + 0.5 * tj["t"], "b": jet["x"] * tj["t"]}
+    if "ttt" in tj:
+        out["c"] = tj["ttt"] - tj["tt"] * jet["xxx"]
+    if "M" in tj:
+        out["m"] = tj["M"] + 2.0 * tj["Mt"]
+    if src is not None:
+        out["s"] = src["val"] * tj["t"]
+    return out
+
+
+def _assert_bytes_equal(got, want):
+    assert sorted(got) == sorted(want)
+    for key in want:
+        assert got[key].shape == want[key].shape, key
+        assert got[key].tobytes() == want[key].tobytes(), key
+
+
+def _blocking(mp, mode, jet):
+    """Set up one way through time_jet: the point set whole, in blocks of
+    about 3 cells on the calling thread, or in such blocks on the pool."""
+    if mode != "whole":
+        mp.setattr(cascade, "_BLOCK_POINTS", 3 * jet["u"][0, 0].size)
+    if mode == "pooled":
+        mp.setattr(pool, "MIN_ELEMENTS", 0)
+
+
+@pytest.mark.parametrize("mode", ["whole", "blocked", "pooled"])
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("depth", [1, 3])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_then_maps_each_block_as_it_maps_the_whole(monkeypatch, dim, depth, forced,
+                                                   mode):
+    """time_jet(..., then=f) is f of the plain output, bit for bit, with f
+    called once per block on that block's jet, output and source."""
+    model = NLDModel(kappa=2.0)
+    real_map, pooled, cells = pool.map, [], []
+
+    def spy_map(fn, items):
+        pooled.append(None)
+        return real_map(fn, items)
+
+    def then(jet, tj, src):
+        cells.append(jet["u"].shape[1])
+        return _pointwise(jet, tj, src)
+
+    for jet, src in _point_sets(dim, depth, forced):
+        n = jet["u"].shape[1]  # 13 or 14 cells: several blocks and a remainder
+        for m_jet in (True, False):
+            want = _pointwise(jet, time_jet(jet, model, depth=depth, source=src,
+                                            m_jet=m_jet), src)
+            cells.clear()
+            pooled.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(pool, "map", spy_map)
+                _blocking(mp, mode, jet)
+                got = time_jet(jet, model, depth=depth, source=src, m_jet=m_jet,
+                               then=then)
+            _assert_bytes_equal(got, want)
+            assert sum(cells) == n
+            # a depth-1 set off the pool goes through whole (cascade docstring)
+            whole = mode == "whole" or (mode == "blocked" and depth == 1)
+            assert len(cells) == (1 if whole else round(n / 3))
+            assert bool(pooled) == (mode == "pooled")
+
+
+def _taylor_sums_of_whole_outputs(jet, model, tau, source):
+    """(w, G) as sums over the full-size cascade outputs of the whole point
+    set, term by term as `lwdg.taylor_state` writes them."""
+    def taylor(f, ft, ftt, fttt):
+        return f + (tau / 2.0) * ft + (tau * tau / 6.0) * ftt + (tau**3 / 24.0) * fttt
+
+    tj = cascade._time_jet_block(jet, model, 3, source, True)
+    w = taylor(jet["u"], tj["t"], tj["tt"], tj["ttt"])
+    G = taylor(tj["M"], tj["Mt"], tj["Mtt"], tj["Mttt"])
+    if source is not None:
+        G = taylor(G + source["val"], source["t"], source["tt"], source["ttt"])
+    return w, G
+
+
+@pytest.mark.parametrize("mode", ["whole", "blocked", "pooled"])
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("kappa", [1.0, 2.0])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_taylor_state_summed_per_block_keeps_the_bits(monkeypatch, dim, kappa, forced,
+                                                       mode):
+    model = NLDModel(kappa=kappa)
+    jet, src = _point_sets(dim, 3, forced)[0]  # the volume points
+    if src is not None and "ttt" not in src:  # the 1D sources stop at tt
+        src = dict(src, ttt=np.random.default_rng(3).standard_normal(jet["u"].shape))
+    w_ref, G_ref = _taylor_sums_of_whole_outputs(jet, model, 0.01, src)
+    with monkeypatch.context() as mp:
+        _blocking(mp, mode, jet)
+        w, G = taylor_state(jet, model, 0.01, src)
+    _assert_bytes_equal({"w": w, "G": G}, {"w": w_ref, "G": G_ref})
 
 
 @pytest.mark.parametrize("kappa", [1.0, 2.0, 3.0])

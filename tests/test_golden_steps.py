@@ -29,6 +29,11 @@ distinct profile that a `PRESETS` config or perfbench's two wave workloads
 (`soliton-1d`, `travelling-2d`) solve, with their configs' `wave_R` and
 `wave_N`, in the order those configs first name them.  A change to the
 profile solve can leave both step hashes as they were.
+
+A fourth line hashes one step of rkdg (RK4), lwdg and tsdg on a 120^2 P2
+mesh, unforced and forced, from one seeded state.  Those point sets go
+through the cascade's blocks and the thread pool, which the small golden
+meshes never reach.
 """
 
 import hashlib
@@ -247,11 +252,25 @@ def profile_hash():
     return h.hexdigest()
 
 
+def large_step_hash(seed=20261021):
+    """sha256 over one rk4, lwdg and tsdg step, unforced then forced, on a
+    120^2 P2 mesh of [-2, 2]^2 (kappa = 1) from one seeded random state."""
+    space = DGSpace2D(Grid2D(-2.0, 2.0, 120, -2.0, 2.0, 120), 2)
+    model = NLDModel()
+    coeffs = _random_state(space, np.random.default_rng(seed))
+    h = hashlib.sha256()
+    for source in (None, MMSSource(model)):
+        for scheme in ("rk4", "lwdg", "tsdg"):
+            h.update(SCHEMES[scheme](space, model, coeffs, source).tobytes())
+    return h.hexdigest()
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--hash"]:
         print(results_hash())
         print(source_hash())
         print(profile_hash())
+        print(large_step_hash())
     elif sys.argv[1:]:
         sys.exit(f"usage: {sys.argv[0]} [--hash]")
     else:

@@ -115,3 +115,20 @@ def test_pool_applies_policy_and_leaves_one_blas_thread():
     got = json.loads(out.stdout.splitlines()[-1])
     assert got["applied"] is not None
     assert got["before"] and got["after"] == [1] * len(got["before"]), got
+
+
+@pytest.mark.skipif(not heap.openblas_threads(),
+                    reason="no OpenBLAS with a thread-count call is loaded")
+def test_cli_wave_profile_does_not_depend_on_blas_threads(tmp_path):
+    # the dense Newton solves round differently on two OpenBLAS threads; the
+    # solve applies the policy first, so both files hold the run's bits
+    src = str(Path(diracdg.__file__).resolve().parent.parent)
+    written = []
+    for threads in ("2", "1"):
+        out = tmp_path / f"profile_{threads}.txt"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "diracdg.cli", "wave", "--omega", "0.8",
+                        "--kappa", "2", "--out", str(out)],
+                       env=env, capture_output=True, text=True, check=True, timeout=120)
+        written.append(out.read_bytes())
+    assert written[0] == written[1]

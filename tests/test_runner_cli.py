@@ -2,6 +2,8 @@
 
 import os
 import re
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
@@ -504,6 +506,17 @@ def test_cli_wave_stops_an_attempt_at_a_non_finite_iterate(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "no convergence after 1 iterations (residual nan)" in err
     assert attempts and len(solves) <= len(attempts)
+
+
+def test_cli_wave_overflow_is_one_error_line():
+    # a fresh interpreter, so that numpy's RuntimeWarnings would reach stderr
+    src = os.path.dirname(os.path.dirname(os.path.abspath(runner.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "diracdg.cli", "wave", "--omega", "0.8", "--R", "1e300"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr == "numerical failure: no convergence after 1 iterations (residual nan)\n"
 
 
 @pytest.mark.parametrize("message", [

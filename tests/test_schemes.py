@@ -7,12 +7,13 @@ fixed fourth-order weights and expose its order without any spatial error
 in the way.
 """
 
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from diracdg import tsdg
+from diracdg import pool, tsdg
 
 from diracdg.diagnostics import total_charge
 from diracdg.integrators import cfl_dt, evolve, rk4_step
@@ -128,6 +129,27 @@ def test_forced_2d_step_calls_the_source_jet_once_per_point_set(
     for _ in range(4):
         c, t = step(c, t, tau), t + tau
     assert len(calls) == 4 * per_step
+
+
+def test_lwdg_step_peak_memory_in_volume_arrays(monkeypatch):
+    """One unforced 120^2 P2 lwdg step, blocked on the calling thread,
+    holds at its tracemalloc peak at most 20 arrays the size of its volume
+    point values.  The Taylor sums formed per cascade block keep the seven
+    full-size time derivatives from ever existing: 15.3 such arrays, where
+    summing over full-size cascade outputs peaked at 20.9."""
+    monkeypatch.setattr(pool, "MIN_ELEMENTS", np.iinfo(np.int64).max)  # no pool
+    n, q = 120, 2
+    sp = DGSpace2D(Grid2D(-2.0, 2.0, n, -2.0, 2.0, n), q)
+    c = 0.3 * np.random.default_rng(5).standard_normal(sp.zeros().shape)
+    lwdg_step(sp, MODEL, c, 0.0, 1e-3)  # the space's tables, made on first use
+    tracemalloc.start()
+    try:
+        lwdg_step(sp, MODEL, c, 0.0, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    volume_array = 4 * n * n * (q + 1) ** 2 * 8
+    assert peak <= 20 * volume_array, f"{peak / volume_array:.1f} volume arrays"
 
 
 # --------------------------------------------------------------------------
