@@ -33,10 +33,12 @@ Two more settings serve the threads of `diracdg.pool`:
   run burned twice the CPU time for the same wall time.
 
 The heap settings change where memory comes from, never a computed value.
-The BLAS thread count can change one: the dense LU solves of a wave
+The BLAS thread count can change one: the dense LU solves of a 2D wave
 profile's Newton iteration round differently on two OpenBLAS threads than
 on one, so `waves.solve_standing_wave` applies the policy before it solves,
-as `runner.run_simulation` and the pool do.
+as `runner.run_simulation` and the pool do.  A 1D profile is a closed form
+and needs no solve; only its stored residual, a product with the dense
+differentiation matrix, can round by the thread count.
 """
 
 from __future__ import annotations

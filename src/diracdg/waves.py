@@ -18,20 +18,38 @@ Writing phi = r^S p and chi = r^{S+1} w removes every 1/r:
 which is regular on the whole interval [0, R] and is collocated on
 Chebyshev-Gauss-Lobatto nodes; at r = R two rows enforce the decay
 conditions p = w = 0, and at r = 0 the second equation collapses to the
-symmetry condition p'(0) = 0 by itself.  The nonlinear system is solved by
-a damped Newton iteration, with continuation in omega from a shallow anchor
-wave when a direct solve stalls.  A step is halved (`_DAMPING`) until its
-max|delta| falls below `_FULL_STEP` = 0.1, and taken whole from there on;
-an attempt whose max|p| is not <= `_DIVERGED` = 1e3 (NaN included) ends at
-once as diverged, and the overflow that leads there raises no numpy
-warning: the attempt's `NoConvergence` is the one report.  Each iteration
-is one dense solve of order 2 (N + 1), whose rounding depends on the BLAS
-thread count, so the solve first applies the policy of `diracdg.heap` (one
-BLAS thread), as a run does: a profile solved alone has the run's bits.
-At omega = 0.8 the 1D kappa = 2 wave takes 11 of them (a first seed that
-collapses onto phi = 0 in 4, then 7) and the 2D cubic one 7; the 2D quintic
-wave at omega = 0.94 takes 89, through continuation.  Profiles decay like
-exp(-sqrt(m^2-omega^2) r).
+symmetry condition p'(0) = 0 by itself.
+
+In 1D the system has a closed form for every kappa > 0 and lam > 0 (Lee,
+Kuo and Gavrielides, Phys. Rev. D 12, 1975, for kappa = 1; Cooper, Khare,
+Mihaila and Saxena, Phys. Rev. E 82, 036604, 2010, for any kappa): with
+beta = sqrt(m^2 - omega^2) and D = m + omega cosh(2 kappa beta r),
+
+    sh  = [beta^2 / (lam D)]^(1/kappa),
+    phi = sqrt(sh (m + omega) / D) cosh(kappa beta r),
+    chi = sqrt(sh (m - omega) / D) sinh(kappa beta r),
+
+and a 1D profile is that form on the nodes, with D scaled by
+2 exp(-2 kappa beta r) so that no factor overflows at any r.  Its stored
+residual is the collocated system's at those values: differentiation
+error on the interior rows, and on the two decay rows phi(R) and chi(R)/R,
+the truncation at R.
+
+In 2D the nonlinear system is solved by a damped Newton iteration, with
+continuation in omega from a shallow anchor wave when a direct solve
+stalls.  A step is halved (`_DAMPING`) until its max|delta| falls below
+`_FULL_STEP` = 0.1, and taken whole from there on; an attempt whose max|p|
+is not <= `_DIVERGED` = 1e3 (NaN included) ends at once as diverged, and
+the overflow that leads there raises no numpy warning: the attempt's
+`NoConvergence` is the one report.  Each iteration is one dense solve of
+order 2 (N + 1), whose rounding depends on the BLAS thread count, so the
+solve first applies the policy of `diracdg.heap` (one BLAS thread), as a
+run does: a profile solved alone has the run's bits (so does a 1D
+profile's residual, a product with the dense differentiation matrix).
+At omega = 0.8 the cubic wave takes 7 of them and the quintic wave at
+omega = 0.94 takes 89, through continuation.  A non-integer kappa is
+refused: an iterate's density goes negative, where rho^kappa has no real
+value.  Profiles decay like exp(-sqrt(m^2-omega^2) r).
 
 The collocated p and w are a Chebyshev series in s = 2 r / R - 1.  Each
 profile converts its node values to series coefficients once (a DCT-I),
@@ -155,7 +173,7 @@ def _radial_system(p, w, r, Dr, cc, omega, model, S, want_jacobian):
     n = r.size
     r2s = r ** (2 * S)
     sh = r2s * p * p - r2s * r * r * w * w
-    g0, g1, _, _ = model.g_jet(sh, 1)
+    g0, g1, _, _ = model.g_jet(sh, 1 if want_jacobian else 0)
     F1 = cc * w + r * (Dr @ w) + (g0 - omega) * p
     F2 = (Dr @ p) + (g0 + omega) * r * w
     F1[0] = p[0]
@@ -185,7 +203,7 @@ def _newton_profile(p, w, r, Dr, cc, omega, model, S):
         # full steps once max|delta| < _FULL_STEP: the damping only tames the
         # far-from-solution updates of deep waves, and a step of 0.5 near a
         # root halves each iteration's gain (released only below 1e-3, the
-        # waves of the module docstring took 22, 12 and 206 solves)
+        # 2D waves of the module docstring took 12 and 206 solves)
         step = 1.0 if np.max(np.abs(delta)) < _FULL_STEP else _DAMPING
         p = p + step * delta[:n]
         w = w + step * delta[n:]
@@ -202,7 +220,7 @@ def _newton_profile(p, w, r, Dr, cc, omega, model, S):
     if np.max(np.abs(r**S * p)) <= 1e-6:
         raise NoConvergence(it, res, "the solve collapsed onto the trivial "
                                      "solution phi = 0")
-    return p, w, res
+    return p, w
 
 
 @dataclass
@@ -259,6 +277,45 @@ def _continuation_ladder(omega: float, anchor: float):
     return list(np.arange(anchor, omega, step)) + [omega]
 
 
+def _closed_form_1d(r, omega: float, model: NLDModel):
+    """p = phi and w = chi / r of the 1D wave at r >= 0 (module docstring),
+    through E = 2 q D with q = exp(-2 kappa beta r) in [0, 1]:
+    cosh(kappa beta r) / sqrt(D) = (1 + q) / sqrt(2 E), and
+    sinh(kappa beta r) / (r sqrt(D)) = -expm1(-2 kappa beta r) / (r sqrt(2 E)),
+    whose limit at r = 0 is kappa beta / sqrt(D)."""
+    m, kappa = model.m, model.kappa
+    beta = np.sqrt(m**2 - omega**2)
+    a = 2.0 * kappa * beta * r
+    q = np.exp(-a)
+    E = omega * (1.0 + q * q) + 2.0 * m * q
+    sh = (2.0 * beta**2 * q / (model.lam * E)) ** (1.0 / kappa)
+    sinh_r = np.divide(-np.expm1(-a), r, out=np.full_like(r, 2.0 * kappa * beta),
+                       where=r > 0.0)
+    return ((1.0 + q) * np.sqrt(sh * (m + omega) / (2.0 * E)),
+            sinh_r * np.sqrt(sh * (m - omega) / (2.0 * E)))
+
+
+def _newton_2d(r, Dr, cc, omega: float, model: NLDModel, S: int):
+    """p and w of the 2D wave: Newton from a short list of seeds."""
+    # the 2D ground state sits well above the 1D sech scale, and a too-small
+    # seed makes Newton collapse onto the trivial solution, so a short list
+    # of seed amplitudes is tried, first at omega itself and then with
+    # continuation from the shallow anchor wave omega = 0.8; a huge R
+    # overflows the seed and the first iterate, and the non-finite stop then
+    # ends the attempt, which says so once, without warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for anchor, fac in itertools.product((omega, 0.8), (1.8, 1.3, 2.5)):
+            b = np.sqrt(model.m**2 - anchor**2)
+            p, w = fac * np.sqrt(model.m - anchor) / np.cosh(b * r), np.zeros_like(r)
+            try:
+                for om in _continuation_ladder(omega, anchor):
+                    p, w = _newton_profile(p, w, r, Dr, cc, om, model, S)
+                return p, w
+            except NoConvergence as exc:
+                failure = exc.with_traceback(None)  # frees the attempt's Jacobian
+    raise failure
+
+
 def solve_standing_wave(
     omega: float,
     dim: int = 1,
@@ -267,7 +324,8 @@ def solve_standing_wave(
     R: float | None = None,
     N: int = 256,
 ) -> WaveProfile:
-    """Compute the profile via collocation; continuation handles deep waves."""
+    """The profile on N + 1 Chebyshev nodes of [0, R]: the closed form in 1D,
+    Newton on the collocated system in 2D (module docstring)."""
     model = model or NLDModel()
     if not 0.0 < omega < model.m:
         raise ConfigError(f"no localised wave for omega={omega} (need 0 < omega < m)")
@@ -275,43 +333,43 @@ def solve_standing_wave(
         raise ConfigError(f"dim must be 1 or 2, got {dim}")
     if dim == 1 and S != 0:
         raise ConfigError("angular index S only applies in 2D")
+    kappa = float(model.kappa)
     for bad, msg in ((S < 0, f"angular index S must be >= 0, got {S}"),
                      (N < 2, f"need N >= 2 collocation nodes, got {N}"),
                      (R is not None and not 0.0 < R < np.inf,
-                      f"radius R must be > 0 and finite, got {R}")):
+                      f"radius R must be > 0 and finite, got {R}"),
+                     (dim == 1 and not model.lam > 0.0,
+                      f"a localised 1D wave needs lam > 0, got lam = {model.lam}"),
+                     (dim == 1 and not kappa > 0.0,
+                      f"a localised 1D wave needs kappa > 0, got kappa = {kappa}"),
+                     (dim == 2 and not kappa.is_integer(),
+                      f"the 2D wave solve needs an integer kappa, got kappa = {kappa}: "
+                      f"its iterates' density goes negative, where rho**kappa has "
+                      f"no real value")):
         if bad:
             raise ConfigError(msg)
     R = float(R) if R is not None else (40.0 if dim == 1 else 30.0)
     keep_freed_heap_mapped()  # one BLAS thread: a run's rounding (module docstring)
     r, Dr, cc = _collocation(N, R, dim, S)
-
-    # the 2D ground state sits well above the 1D sech scale, and a too-small
-    # seed makes Newton collapse onto the trivial solution, so a short list
-    # of seed amplitudes is tried, first at omega itself and then with
-    # continuation from the shallow anchor wave omega = 0.8
-    factors = (1.0, 1.6) if dim == 1 else (1.8, 1.3, 2.5)
-    # a huge R overflows the seed and the first iterate; the non-finite
-    # stop then ends the attempt, which says so once, without warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for anchor, fac in itertools.product((omega, 0.8), factors):
-            b = np.sqrt(model.m**2 - anchor**2)
-            p, w = fac * np.sqrt(model.m - anchor) / np.cosh(b * r), np.zeros_like(r)
-            try:
-                for om in _continuation_ladder(omega, anchor):
-                    p, w, res = _newton_profile(p, w, r, Dr, cc, om, model, S)
-                break
-            except NoConvergence as exc:
-                failure = exc.with_traceback(None)  # frees the attempt's Jacobian
-        else:
-            raise failure
-    prof = WaveProfile(dim, S, float(omega), model, R, N, r, p, w, res)
-    # the collocated residual vanishes at any N; the series' tail shows
+    if dim == 1:
+        with np.errstate(over="ignore"):  # a tiny kappa: sh^(1/kappa) leaves the doubles
+            p, w = _closed_form_1d(r, omega, model)
+        if not 0.0 < p[-1] < np.inf:
+            raise ConfigError(f"the 1D wave at lam = {model.lam}, kappa = {kappa} has "
+                              f"phi(0) = {p[-1]}, not a positive finite double")
+    else:
+        p, w = _newton_2d(r, Dr, cc, omega, model, S)
+    prof = WaveProfile(dim, S, float(omega), model, R, N, r, p, w, math.nan)
+    # the collocated residual is small at any N; the series' tail shows
     # whether N nodes resolve the profile on [0, R]
     c = np.abs(prof._coef)
     tail = c[:, -((N + 10) // 10):].max() / c.max()  # last tenth of N+1 terms
     if tail > _TAIL_TOL:
         raise ConfigError(f"N = {N} nodes do not resolve the profile on "
                           f"[0, R = {R:g}]: Chebyshev tail {tail:.1e} > {_TAIL_TOL:g}")
+    # r^2 is finite once R has passed the tail check
+    F, _ = _radial_system(p, w, r, Dr, cc, omega, model, S, False)
+    prof.residual = float(np.max(np.abs(F)))
     return prof
 
 

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -439,12 +440,14 @@ def test_cli_cost_rejects_empty_counts(capsys, argv):
 
 
 def test_cli_wave(capsys, tmp_path):
-    out = tmp_path / "profile.txt"
-    code = main(["wave", "--omega", "0.8", "--dim", "1", "--out", str(out)])
-    assert code == 0
-    text = capsys.readouterr().out
-    assert "charge" in text and "decay rate" in text
-    assert out.exists()
+    for kappa in ("1", "1.5", "0.5"):  # the 1D closed form takes any kappa > 0
+        out = tmp_path / f"profile_{kappa}.txt"
+        code = main(["wave", "--omega", "0.8", "--dim", "1", "--kappa", kappa,
+                     "--out", str(out)])
+        assert code == 0
+        text = capsys.readouterr().out
+        assert "charge" in text and "decay rate" in text
+        assert out.exists()
 
 
 def test_cli_wave_bad_frequency(capsys):
@@ -466,14 +469,30 @@ def test_cli_wave_bad_frequency(capsys):
         (["--dim", "2", "--kappa", "inf"], "parameter kappa must be finite"),
         (["--kappa", "nan"], "parameter kappa must be finite"),
         (["--mass", "inf"], "parameter m must be finite"),
+        (["--lam", "0"], "a localised 1D wave needs lam > 0, got lam = 0.0"),
+        (["--lam", "-1"], "a localised 1D wave needs lam > 0, got lam = -1.0"),
+        (["--kappa", "0"], "a localised 1D wave needs kappa > 0, got kappa = 0.0"),
+        (["--kappa", "-1"], "a localised 1D wave needs kappa > 0, got kappa = -1.0"),
+        (["--kappa", "1e-4"], "kappa = 0.0001 has phi(0) = 0.0, not a positive finite"),
+        (["--omega", "0.1", "--kappa", "1e-4"], "kappa = 0.0001 has phi(0) = inf"),
+        (["--dim", "2", "--kappa", "1.5"],
+         "the 2D wave solve needs an integer kappa, got kappa = 1.5"),
+        (["--dim", "2", "--kappa", "0.5"], "needs an integer kappa, got kappa = 0.5"),
     ],
     ids=["negative-nodes", "no-nodes", "one-node", "negative-radius", "zero-radius",
          "infinite-radius", "negative-spin", "nan-lam", "infinite-kappa", "nan-kappa",
-         "infinite-mass"],
+         "infinite-mass", "1d-zero-lam", "1d-negative-lam", "1d-zero-kappa",
+         "1d-negative-kappa", "1d-underflow", "1d-overflow", "2d-kappa-1.5",
+         "2d-kappa-0.5"],
 )
-def test_cli_wave_rejects_bad_input(capsys, argv, words):
-    assert main(["wave", "--omega", "0.8"] + argv) == 2
+def test_cli_wave_rejects_bad_input(capsys, monkeypatch, argv, words):
+    solves = []
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(None))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        assert main(["wave", "--omega", "0.8"] + argv) == 2
     assert words in capsys.readouterr().err
+    assert not solves  # refused before the first Newton solve
 
 
 @pytest.mark.parametrize("nodes", [2, 16, 32])
@@ -486,15 +505,15 @@ def test_cli_wave_rejects_unresolved_profile(capsys, nodes):
 
 @pytest.mark.parametrize("flag", [["--lam", "0"], ["--kappa", "-1"]])
 def test_cli_wave_names_collapse_onto_zero(capsys, flag):
-    # Newton converges here, but onto phi = 0
-    assert main(["wave", "--omega", "0.8"] + flag) == 3
+    # the 2D Newton solve converges here, but onto phi = 0
+    assert main(["wave", "--omega", "0.8", "--dim", "2"] + flag) == 3
     err = capsys.readouterr().err
     assert "collapsed onto the trivial solution" in err
     assert "no convergence" not in err
 
 
 def test_cli_wave_stops_an_attempt_at_a_non_finite_iterate(capsys, monkeypatch):
-    # R = 1e300 overflows the first iterate; a bound written as max|p| > 1e6
+    # R = 1e300 overflows the first 2D iterate; a bound written as max|p| > 1e6
     # is False for NaN, which let every attempt run all 200 iterations
     attempts, solves = [], []
     newton, solve = waves._newton_profile, np.linalg.solve
@@ -502,7 +521,7 @@ def test_cli_wave_stops_an_attempt_at_a_non_finite_iterate(capsys, monkeypatch):
                         lambda *a: attempts.append(None) or newton(*a))
     monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(None) or solve(*a))
     with np.errstate(all="ignore"):
-        assert main(["wave", "--omega", "0.8", "--R", "1e300"]) == 3
+        assert main(["wave", "--omega", "0.8", "--dim", "2", "--R", "1e300"]) == 3
     err = capsys.readouterr().err
     assert "no convergence after 1 iterations (residual nan)" in err
     assert attempts and len(solves) <= len(attempts)
@@ -512,11 +531,17 @@ def test_cli_wave_overflow_is_one_error_line():
     # a fresh interpreter, so that numpy's RuntimeWarnings would reach stderr
     src = os.path.dirname(os.path.dirname(os.path.abspath(runner.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "diracdg.cli", "wave", "--omega", "0.8", "--R", "1e300"],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 3
-    assert proc.stderr == "numerical failure: no convergence after 1 iterations (residual nan)\n"
+    for dim, code, err in (
+        ("2", 3, "numerical failure: no convergence after 1 iterations (residual nan)\n"),
+        ("1", 2, "error: N = 256 nodes do not resolve the profile on [0, R = 1e+300]: "
+                 "Chebyshev tail 1.0e+00 > 1e-05\n"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "diracdg.cli", "wave", "--omega", "0.8", "--dim", dim,
+             "--R", "1e300"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code
+        assert proc.stderr == err
 
 
 @pytest.mark.parametrize("message", [
@@ -652,13 +677,16 @@ _FAST_MMS = RunConfig(
          "ic.wave2.y0 = 4.0"),
         (replace(_FAST_MMS, wave_R=5.0), "ic.wave_R = 5.0"),
         (replace(_FAST_MMS, wave_N=17), "ic.wave_N = 17"),
+        (replace(_FAST_MMS, ic="waves", source="none", waves=(WaveSpec(omega=0.8),),
+                 kappa=1.5), "needs an integer kappa, got kappa = 1.5"),
+        (replace(FAST_1D, lam=-0.5), "needs lam > 0, got lam = -0.5"),
     ],
     ids=["x-reversed", "x-empty", "2d-no-ny", "y-reversed", "history-every-0",
          "no-cells", "no-waves", "1d-mms-source", "negative-nodes",
          "negative-radius", "negative-spin", "mms-fractional-kappa",
          "mms-source-fractional-kappa", "mms-negative-kappa", "mms-unforced",
          "waves-forced", "1d-ny", "1d-y-range", "1d-wave-y0", "mms-wave-radius",
-         "mms-wave-nodes"],
+         "mms-wave-nodes", "2d-wave-fractional-kappa", "1d-wave-negative-lam"],
 )
 def test_cli_rejects_degenerate_config(capsys, tmp_path, cfg, words):
     cfgfile = tmp_path / "bad.cfg"

@@ -12,8 +12,10 @@ collocation residual, the known exponential decay rate, and frozen charge
 values from this solver (regression guards, quoted to 7 digits).
 """
 
+import importlib.util
 import math
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,15 +78,40 @@ def prof_2d_quintic():
 # --------------------------------------------------------------------------
 # 1D: collocation vs closed form
 
-@pytest.mark.parametrize("omega,kappa", [(0.8, 1.0), (0.9, 2.0), (0.5, 1.0)])
+@pytest.mark.parametrize("omega,kappa", [(0.8, 1.0), (0.9, 2.0), (0.5, 1.0),
+                                         (0.6, 0.5), (0.8, 1.5)])
 def test_1d_profile_matches_closed_form(omega, kappa):
     model = NLDModel(kappa=kappa)
     prof = solve_standing_wave(omega, dim=1, model=model)
     x = np.linspace(0.0, 12.0, 400)
     phi, chi = closed_form(omega, x, model)
-    assert np.abs(prof.phi(x) - phi).max() < 1e-8
-    assert np.abs(prof.phi_chi(x)[1] - chi).max() < 1e-8
-    assert wave_ode_residual(prof) < 1e-10
+    assert np.abs(prof.phi(x) - phi).max() < 1e-12
+    assert np.abs(prof.phi_chi(x)[1] - chi).max() < 1e-12
+    # the collocated system at the profile: small on the interior rows, and
+    # the decay rows p(R) = w(R) = 0 read the truncation of the wave at R
+    # (2.6e-8 at omega = 0.9, kappa = 2)
+    _, Dr, cc = waves._collocation(prof.N, prof.R, 1, 0)
+    F, _ = waves._radial_system(prof.p, prof.w, prof.r, Dr, cc, omega, model, 0, False)
+    n = prof.N + 1
+    assert np.abs(np.delete(F, [0, n])).max() < 1e-10
+    phi_R, chi_R = closed_form(omega, np.array([prof.R]), model)
+    np.testing.assert_allclose(F[[0, n]], [phi_R[0], chi_R[0] / prof.R], rtol=1e-12)
+    assert wave_ode_residual(prof) == prof.residual == np.abs(F).max()
+
+
+@pytest.mark.parametrize("v, x0", [(0.0, 0.0), (-0.2, 1.5)])
+def test_1d_profile_matches_the_benchmark_reference(v, x0):
+    """The soliton-1d wave, standing and boosted, against
+    `perfbench/reference.soliton_1d`, which shares no code with the package."""
+    path = Path(__file__).parent.parent / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    ref = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ref)
+    prof = solve_standing_wave(0.8, dim=1, model=NLDModel(kappa=2.0))
+    x = np.linspace(-30.0, 30.0, 1001)  # |comoving x| < R
+    want = ref.soliton_1d(0.8, 2.0, v, x0, 0.7, x)
+    got = superposed_real([{"profile": prof, "v": v, "x0": x0}], 0.7, x)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 def test_1d_charge_matches_quadrature_of_closed_form(prof_1d):
@@ -134,14 +161,14 @@ def test_2d_deep_frequency_via_continuation():
 
 
 @pytest.mark.parametrize("omega, dim, kappa, most", [
-    (0.8, 1, 2.0, 11),   # soliton-1d: a first seed that collapses onto phi = 0
+    (0.8, 1, 2.0, 0),    # soliton-1d: the closed form, no solve
     (0.8, 2, 1.0, 7),    # travelling-2d and the 2D cubic presets
     (0.94, 2, 2.0, 90),  # ex48-breathing: continuation from omega = 0.8
 ], ids=["soliton-1d", "travelling-2d", "ex48"])
 def test_profile_takes_full_newton_steps_near_the_root(monkeypatch, omega, dim,
                                                        kappa, most):
     """Full steps from max|delta| < 0.1 on: released only below 1e-3, the
-    same profiles took 22, 12 and 206 solves (182 on two BLAS threads)."""
+    same 2D profiles took 12 and 206 solves (182 on two BLAS threads)."""
     calls, solve = [], np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(None) or solve(*a))
     prof = solve_standing_wave(omega, dim=dim, model=NLDModel(kappa=kappa))
