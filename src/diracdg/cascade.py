@@ -76,7 +76,11 @@ output:
   copied to full size: lwdg's Taylor sums copy out 2 arrays per volume
   call in place of 7 and 1 per edge call in place of 3, and the 200^2 P2
   lwdg step measured 272 ms against 303 ms, at a tracemalloc peak of
-  157 MiB against 220 MiB (11 alternating pairs, one BLAS thread).
+  157 MiB against 220 MiB (11 alternating pairs, one BLAS thread).  The
+  input side is blocked the same way: the source is a function of a
+  block's cells, evaluated as the block runs, so a forced call never holds
+  its source keys at full size (the nine depth-3 keys of an 80^2 P2 volume
+  call are 15.8 MiB).
 * **Two threads for large point sets.**  A jet whose u holds at least
   `pool.MIN_ELEMENTS` elements (every 2D call of a 200^2 P2 step, none of
   an 80^2 one) hands its blocks, at depth 1 as well as depth 3, to the
@@ -148,9 +152,14 @@ def time_jet(space_jet, model, depth: int = 3, source=None, m_jet: bool = True,
 
     space_jet: dict with keys 'u', 'x' ('y'), and for depth 3 also
         'xx' ('xy', 'yy'), 'xxx' ('xxy', 'xyy', 'yyy'); arrays (4, ...).
-    source: dict of source derivatives, or None: 'val', and at depth 3 't',
-        'x' ('y'), 'lap' (R_xx + R_yy), 'tx' ('ty') and 'tt', arrays of the
-        jet's shape.  Other keys are not read; a missing one is a KeyError.
+    source: None, or source(cells), which returns the source derivatives
+        of the block whose cells are `cells`, a slice of axis 1 (all of it,
+        slice(None), on a set that goes through whole): a dict with 'val',
+        and at depth 3 't', 'x' ('y'), 'lap' (R_xx + R_yy), 'tx' ('ty') and
+        'tt', arrays of the block jet's shape.  Other keys are not read; a
+        missing one is a KeyError.  It runs on the pool's threads with its
+        block, so any cache it reads must be filled before the call
+        (`MMSSource.per_block` does so).
     depth: 1 returns {'t', 'M', 'Mt'}; 3 adds {'tt', 'ttt', 'Mtt', 'Mttt'}.
     m_jet: False leaves out every M output ('M', 'Mt', and at depth 3
         'Mtt', 'Mttt') and the work that only they need.
@@ -173,20 +182,19 @@ def time_jet(space_jet, model, depth: int = 3, source=None, m_jet: bool = True,
         return tj if then is None else then(jet, tj, src)
 
     if nblocks <= 1 or (depth == 1 and not pooled):
-        return run(space_jet, source)
+        return run(space_jet, None if source is None else source(slice(None)))
 
-    def block(cut):
-        return run({k: v[cut] for k, v in space_jet.items()},
-                   None if source is None else {k: v[cut] for k, v in source.items()})
+    def block(cells):
+        return run({k: v[:, cells] for k, v in space_jet.items()},
+                   None if source is None else source(cells))
 
-    cuts = [(slice(None), slice(i * n // nblocks, (i + 1) * n // nblocks))
-            for i in range(nblocks)]
+    blocks = [slice(i * n // nblocks, (i + 1) * n // nblocks) for i in range(nblocks)]
     out = {}
-    for cut, part in zip(cuts, (pool.map if pooled else map)(block, cuts)):
+    for cells, part in zip(blocks, (pool.map if pooled else map)(block, blocks)):
         for k, v in part.items():
             if k not in out:
                 out[k] = np.empty(v.shape[:1] + (n,) + v.shape[2:], v.dtype)
-            out[k][cut] = v
+            out[k][:, cells] = v
     return out
 
 

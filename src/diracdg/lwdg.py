@@ -22,8 +22,10 @@ states need w alone, so the cascade at the edge points forms no M.
 The sums are formed per block of points, inside `cascade.time_jet` (its
 `then`): the seven time derivatives u_t, u_tt, u_ttt, M, M_t, M_tt and
 M_ttt of the volume points, and u_t, u_tt and u_ttt of the edge points,
-never exist at full size; only w and G do.  Every term is pointwise, so
-each step has the bits of summing the full-size derivatives.
+never exist at full size; only w and G do.  Nor do the source keys of a
+forced step: each block evaluates its own (`MMSSource.per_block`).  Every
+term is pointwise, so each step has the bits of summing the full-size
+derivatives.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ def _w(tau, jet, tj):
 
 def taylor_state(space_jet, model, tau: float, source=None):
     """(w, G) at the volume points: the Taylor state w and the matching
-    combination G of M (+ of the source derivatives when forced)."""
+    combination G of M (+ of the source derivatives when forced; `source`
+    as `cascade.time_jet` takes it, per block)."""
 
     def sums(jet, tj, src):
         G = _taylor(tau, tj["M"], tj["Mt"], tj["Mtt"], tj["Mttt"])
@@ -59,7 +62,7 @@ def taylor_state(space_jet, model, tau: float, source=None):
 
 
 def lwdg_step(space, model, coeffs, t, tau, source=None):
-    svol = None if source is None else source.jet(*space.points, t, depth=3)
+    svol = None if source is None else source.per_block(*space.points, t, depth=3)
     w, G = taylor_state(space.volume_jet(coeffs, depth=3), model, tau, svol)
 
     def edge_w(jet, src):  # the Taylor state at edge points, without any M

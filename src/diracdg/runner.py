@@ -210,6 +210,11 @@ def _validate(cfg: RunConfig):
          and not (float(cfg.kappa).is_integer() and cfg.kappa >= 0.0),
          f"the manufactured problem needs an integer model.kappa >= 0, got "
          f"{cfg.kappa}"),
+        # until the model has a rule for g at rho < 0 (ROADMAP item 15)
+        (cfg.ic == "waves" and not float(cfg.kappa).is_integer(),
+         f"ic.type = waves needs an integer kappa, got kappa = {cfg.kappa} "
+         f"(model.kappa): the projected wave has rho < 0 in its tails, where "
+         f"rho**kappa has no real value"),
         (cfg.ic == "mms" and cfg.waves,
          "ic.type = mms takes no ic.waveN entries (--omega and --v set ic.wave1)"),
         ((cfg.ic == "mms") != (cfg.source == "mms"),

@@ -31,7 +31,7 @@ squared interface jumps.  `dqdt_semidiscrete` exposes that quantity.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import reduce
+from functools import partial, reduce
 from operator import iadd
 
 import numpy as np
@@ -111,19 +111,29 @@ def weak_form(space, f, g, states):
     return vol - edge
 
 
+def _faces(cells_per_axis, axis: int, side: int, cells):
+    """Index into the points on the edges normal to cell axis `axis` (1 for
+    x) of the low (side 0) or high (side 1) edge of each cell in `cells`, a
+    slice of the first cell axis."""
+    idx = [range(n) for n in cells_per_axis]
+    idx[axis - 1] = range(side, side + cells_per_axis[axis - 1])
+    idx[0] = idx[0][cells]
+    return tuple(slice(r.start, r.stop) for r in idx)
+
+
 def cascade_states(space, coeffs, t, source, depth: int, advect):
     """`states` for `weak_form` in the cascade schemes: from each side's edge
-    jet and source edge jets, the interface states of advect(jet, source
-    jets), then those of plain u."""
+    jet and that side's source (`MMSSource.per_block` on the edge points,
+    a function of a cascade block's cells), the interface states of
+    advect(jet, source), then those of plain u."""
 
     def states(d):
         lo, hi = space.edge_jets(coeffs, d.name, depth=depth)
         slo = shi = None
         if source is not None:
-            slo, shi = {}, {}
-            edge = source.jet(*space.edge_points[d.name], t, depth=depth)
-            for key, v in edge.items():
-                slo[key], shi[key] = _sides(v, d.axis)
+            slo, shi = (source.per_block(*space.edge_points[d.name], t, depth,
+                                         where=partial(_faces, space.cells, d.axis, side))
+                        for side in (0, 1))
         am, ap = interface_states(advect(lo, slo), advect(hi, shi), d.axis)
         return (am, ap, *interface_states(lo["u"], hi["u"], d.axis))
 
@@ -135,7 +145,7 @@ def rkdg_residual(space, model, coeffs, t: float = 0.0, source=None):
     uv = space.eval(coeffs)
     mv = model.nonlinear_term(uv)
     if source is not None:
-        mv = mv + source.jet(*space.points, t, depth=0)["val"]
+        mv += source.jet(*space.points, t, depth=0)["val"]  # no full-size temporary
 
     def states(d):
         lo, hi = space.edge_jets(coeffs, d.name, depth=0)

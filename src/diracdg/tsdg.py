@@ -7,6 +7,10 @@ to two moments, both dissipating the jump of z itself:
     I    = weak_form(f = z,   g = M(z) + R(s),    advected traces = z)
     Ihat = weak_form(f = z_t, g = d_t M + R_t(s), advected traces = z_t).
 
+When forced, the source terms are evaluated and added per cascade block
+(`cascade.time_jet`'s `source` and `then`), so M + R and M_t + R_t are the
+only full-size forced arrays.
+
 I is rkdg's residual times the mass.  With I, Ihat from the sweep at (u, t)
 the intermediate state is
 
@@ -45,8 +49,11 @@ def _sweep(space, model, coeffs, t, source):
     """(Ihat, first): the moment Ihat and a function that forms I from the
     same volume jet, cascade and interface states of u."""
     vjet = space.volume_jet(coeffs, depth=1)
-    svol = source.jet(*space.points, t, depth=1) if source is not None else None
-    tj = time_jet(vjet, model, depth=1, source=svol)
+    if source is None:
+        tj = time_jet(vjet, model, depth=1)
+    else:
+        tj = time_jet(vjet, model, depth=1, then=_add_source,
+                      source=source.per_block(*space.points, t, depth=1))
 
     def ut(jet, src):  # u_t at edge points, without any M
         return time_jet(jet, model, depth=1, source=src, m_jet=False)["t"]
@@ -59,11 +66,16 @@ def _sweep(space, model, coeffs, t, source):
         u_states[d.name] = um, up, um, up
         return utm, utp, um, up
 
-    mt = tj["Mt"] if svol is None else tj["Mt"] + svol["t"]
-    ihat = weak_form(space, tj["t"], mt, states)
+    ihat = weak_form(space, tj["t"], tj["Mt"], states)
 
     def first():
-        mv = tj["M"] if svol is None else tj["M"] + svol["val"]
-        return weak_form(space, vjet["u"], mv, lambda d: u_states[d.name])
+        return weak_form(space, vjet["u"], tj["M"], lambda d: u_states[d.name])
 
     return ihat, first
+
+
+def _add_source(jet, tj, src):
+    """M + R and M_t + R_t, added per cascade block into its M and M_t."""
+    tj["M"] += src["val"]
+    tj["Mt"] += src["t"]
+    return tj

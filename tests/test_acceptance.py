@@ -158,7 +158,7 @@ def test_criterion_5_time_cascade_matches_finite_differences():
     t = rng.uniform(0.2, 1.0, n)
     model = NLDModel()
     jet = time_jet(mms_space_jet(x, y, t), model, depth=3,
-                   source=MMSSource(model).jet(x, y, t, depth=3))
+                   source=MMSSource(model).per_block(x, y, t, depth=3))
 
     h = 0.02
     stack = np.stack([mms_state(x, y, t + k * h) for k in range(-3, 4)])

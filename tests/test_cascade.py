@@ -83,7 +83,7 @@ def test_time_jet_reproduces_mms_derivatives(kappa):
     y = RNG.uniform(-1.5, 1.5, n)
     t = 0.73
     sj = mms_space_jet(x, y, t)
-    tj = time_jet(sj, model, depth=3, source=src.jet(x, y, t, depth=3))
+    tj = time_jet(sj, model, depth=3, source=src.per_block(x, y, t, depth=3))
     ref = _analytic_time_derivatives(x, y, t)
     scale = np.abs(ref["t"]).max()
     for key in ("t", "tt", "ttt"):
@@ -99,7 +99,7 @@ def test_time_jet_against_sixth_order_fd():
     y = RNG.uniform(-1.0, 1.0, 50)
     t, h = 0.5, 0.05
     sj = mms_space_jet(x, y, t)
-    tj = time_jet(sj, model, depth=3, source=src.jet(x, y, t, depth=3))
+    tj = time_jet(sj, model, depth=3, source=src.per_block(x, y, t, depth=3))
     us = np.array([mms_state(x, y, t + k * h) for k in range(-3, 4)])
     w1 = np.array([-1, 9, -45, 0, 45, -9, 1]) / (60.0 * h)
     w2 = np.array([2, -27, 270, -490, 270, -27, 2]) / (180.0 * h * h)
@@ -117,7 +117,7 @@ def test_m_derivatives_against_sixth_order_fd(kappa):
     x, y = (v.ravel() for v in np.meshgrid(*2 * [np.linspace(-0.4, 0.4, 9)]))
     t, h = 0.95, 0.01
     tj = time_jet(mms_space_jet(x, y, t), model, depth=3,
-                  source=MMSSource(model).jet(x, y, t, depth=3))
+                  source=MMSSource(model).per_block(x, y, t, depth=3))
     ms = np.array([model.nonlinear_term(mms_state(x, y, t + k * h))
                    for k in range(-3, 4)])
     w1 = np.array([-1, 9, -45, 0, 45, -9, 1]) / (60.0 * h)
@@ -129,7 +129,7 @@ def test_m_derivatives_against_sixth_order_fd(kappa):
 
 
 def test_time_jet_names_a_missing_source_key():
-    """A source dict that lacks a key the cascade reads raises KeyError
+    """A source whose dict lacks a key the cascade reads raises KeyError
     naming it, rather than dropping that forcing term: one written to the
     older R_xx/R_yy contract at depth 3, and one without 'val' at depth 1."""
     model = NLDModel()
@@ -139,9 +139,9 @@ def test_time_jet_names_a_missing_source_key():
     older = {k: v for k, v in src.items() if k != "lap"}
     older["xx"] = older["yy"] = 0.5 * src["lap"]
     with pytest.raises(KeyError, match="lap"):
-        time_jet(sj, model, depth=3, source=older)
+        time_jet(sj, model, depth=3, source=lambda cells: older)
     with pytest.raises(KeyError, match="val"):
-        time_jet(sj, model, depth=1, source={"t": src["t"]})
+        time_jet(sj, model, depth=1, source=lambda cells: {"t": src["t"]})
 
 
 def test_time_jet_depth1_is_a_prefix():
@@ -151,9 +151,9 @@ def test_time_jet_depth1_is_a_prefix():
     sj = mms_space_jet(x, y, 0.3)
     src = MMSSource(model)
     shallow = time_jet(
-        sj, model, depth=1, source=src.jet(x, y, 0.3, depth=1)
+        sj, model, depth=1, source=src.per_block(x, y, 0.3, depth=1)
     )
-    deep = time_jet(sj, model, depth=3, source=src.jet(x, y, 0.3, depth=3))
+    deep = time_jet(sj, model, depth=3, source=src.per_block(x, y, 0.3, depth=3))
     np.testing.assert_allclose(shallow["t"], deep["t"], atol=1e-14)
     np.testing.assert_allclose(shallow["Mt"], deep["Mt"], atol=1e-14)
     assert "tt" not in shallow
@@ -223,9 +223,10 @@ def test_taylor_state_combination():
     y = RNG.uniform(-1, 1, 30)
     t, tau = 0.6, 0.01
     sj = mms_space_jet(x, y, t)
-    src = MMSSource(model).jet(x, y, t, depth=3)
-    w, G = taylor_state(sj, model, tau, src)
-    tj = time_jet(sj, model, depth=3, source=src)
+    per_block = MMSSource(model).per_block(x, y, t, depth=3)
+    src = per_block(slice(None))
+    w, G = taylor_state(sj, model, tau, per_block)
+    tj = time_jet(sj, model, depth=3, source=per_block)
     w_ref = (
         sj["u"]
         + tau / 2 * tj["t"]
@@ -245,34 +246,52 @@ def test_taylor_state_combination():
 # --------------------------------------------------------------------------
 # blocking, scalar-zero skipping and the early return change no bit
 
+def _sliced(source):
+    """A source dict as `time_jet` takes it: a function of a block's cells."""
+    return None if source is None else lambda cells: {k: v[:, cells]
+                                                      for k, v in source.items()}
+
+
 def _point_sets(dim, depth, forced):
-    """(jet, source) pairs on a small mesh: the volume points and both
-    sides of one (1D) or each (2D) edge family, from random coefficients."""
+    """(jet, whole source, per-block source) triples on a small mesh: the
+    volume points and both sides of one (1D) or each (2D) edge family, from
+    random coefficients.  In 2D the whole source is `MMSSource.jet` on all of
+    a point set (an edge set split into its sides), and the per-block one is
+    what the schemes pass (`MMSSource.per_block`, through `cascade_states`
+    on the edges)."""
     rng = np.random.default_rng(11)
     if dim == 1:
         space = DGSpace1D(Grid1D(-1.0, 1.0, 13), 3)
         coeffs = 0.6 * rng.standard_normal(space.zeros().shape)
         sets = [space.volume_jet(coeffs, depth), *space.edge_jets(coeffs, "x", depth)]
         if not forced:
-            return [(j, None) for j in sets]
+            return [(j, None, None) for j in sets]
         keys = ("val", "t") if depth == 1 else ("val", "t", "x", "xx", "tx", "tt")
         sources = [{k: 0.3 * rng.standard_normal(j["u"].shape) for k in keys}
                    for j in sets]
         if depth > 1:
             for src in sources:
                 src["lap"] = src["xx"]  # the 1D Laplacian is R_xx itself
-        return list(zip(sets, sources))
+        return [(j, src, _sliced(src)) for j, src in zip(sets, sources)]
     space = DGSpace2D(Grid2D(-1.0, 1.0, 13, -0.5, 0.5, 7), 2)
     coeffs = 0.6 * rng.standard_normal(space.zeros().shape)
     src = MMSSource(NLDModel()) if forced else None
-    pairs = [(space.volume_jet(coeffs, depth),
-              src.jet(*space.points, 0.7, depth) if forced else None)]
+    sets = [(space.volume_jet(coeffs, depth),
+             src.per_block(*space.points, 0.7, depth) if forced else None)]
     # each edge side's (jet, source) pair as the cascade schemes advect it
     states = cascade_states(space, coeffs, 0.7, src, depth,
-                            lambda jet, s: pairs.append((jet, s)) or jet["u"])
+                            lambda jet, s: sets.append((jet, s)) or jet["u"])
+    wholes = [src.jet(*space.points, 0.7, depth) if forced else None]
     for d in axes(space):
         states(d)
-    return pairs
+        if forced:
+            edge = src.jet(*space.edge_points[d.name], 0.7, depth)
+            cut = (slice(None),) * d.axis
+            for side in (slice(None, -1), slice(1, None)):
+                wholes.append({k: v[cut + (side,)] for k, v in edge.items()})
+        else:
+            wholes += [None, None]
+    return [(jet, whole, per_block) for (jet, per_block), whole in zip(sets, wholes)]
 
 
 def _assert_jets_equal(got, want):
@@ -286,17 +305,21 @@ def _assert_jets_equal(got, want):
 @pytest.mark.parametrize("depth", [1, 3])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_blocked_time_jet_is_bit_identical(monkeypatch, dim, depth, forced, kappa):
+    """time_jet with the source per block, whole, in blocks of about 3 cells
+    and in such blocks on the pool, has the bytes of one cascade block on the
+    whole point set and its whole source, on the volume points and on each
+    side of every edge family."""
     model = NLDModel(kappa=kappa)
-    for jet, src in _point_sets(dim, depth, forced):
+    for jet, whole_src, src in _point_sets(dim, depth, forced):
         for m_jet in (True, False):
-            whole = cascade._time_jet_block(jet, model, depth, src, m_jet)
-            # about 3 cells per block: the 13 cells split 3+3+3+4
-            monkeypatch.setattr(cascade, "_BLOCK_POINTS", 3 * jet["u"][0, 0].size)
-            _assert_jets_equal(
-                time_jet(jet, model, depth=depth, source=src, m_jet=m_jet), whole)
-            monkeypatch.undo()
-            _assert_jets_equal(
-                time_jet(jet, model, depth=depth, source=src, m_jet=m_jet), whole)
+            whole = cascade._time_jet_block(jet, model, depth, whole_src, m_jet)
+            for mode in ("blocked", "pooled", "whole"):
+                with monkeypatch.context() as mp:
+                    # the 13 cells split 3+3+3+4 (a depth-1 set needs the pool)
+                    _blocking(mp, mode, jet)
+                    _assert_bytes_equal(
+                        time_jet(jet, model, depth=depth, source=src, m_jet=m_jet),
+                        whole)
 
 
 def _pointwise(jet, tj, src):
@@ -334,8 +357,9 @@ def _blocking(mp, mode, jet):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_then_maps_each_block_as_it_maps_the_whole(monkeypatch, dim, depth, forced,
                                                    mode):
-    """time_jet(..., then=f) is f of the plain output, bit for bit, with f
-    called once per block on that block's jet, output and source."""
+    """time_jet(..., then=f) is f of the whole point set's cascade output
+    and source, bit for bit, with f called once per block on that block's
+    jet, output and source (the source evaluated per block)."""
     model = NLDModel(kappa=2.0)
     real_map, pooled, cells = pool.map, [], []
 
@@ -347,11 +371,12 @@ def test_then_maps_each_block_as_it_maps_the_whole(monkeypatch, dim, depth, forc
         cells.append(jet["u"].shape[1])
         return _pointwise(jet, tj, src)
 
-    for jet, src in _point_sets(dim, depth, forced):
+    for jet, whole_src, src in _point_sets(dim, depth, forced):
         n = jet["u"].shape[1]  # 13 or 14 cells: several blocks and a remainder
         for m_jet in (True, False):
-            want = _pointwise(jet, time_jet(jet, model, depth=depth, source=src,
-                                            m_jet=m_jet), src)
+            want = _pointwise(
+                jet, cascade._time_jet_block(jet, model, depth, whole_src, m_jet),
+                whole_src)
             cells.clear()
             pooled.clear()
             with monkeypatch.context() as mp:
@@ -388,10 +413,12 @@ def _taylor_sums_of_whole_outputs(jet, model, tau, source):
 def test_taylor_state_summed_per_block_keeps_the_bits(monkeypatch, dim, kappa, forced,
                                                        mode):
     model = NLDModel(kappa=kappa)
-    jet, src = _point_sets(dim, 3, forced)[0]  # the volume points
-    if src is not None and "ttt" not in src:  # the 1D sources stop at tt
-        src = dict(src, ttt=np.random.default_rng(3).standard_normal(jet["u"].shape))
-    w_ref, G_ref = _taylor_sums_of_whole_outputs(jet, model, 0.01, src)
+    jet, whole_src, src = _point_sets(dim, 3, forced)[0]  # the volume points
+    if dim == 1 and forced:  # the 1D sources stop at tt
+        whole_src = dict(whole_src, ttt=np.random.default_rng(3).standard_normal(
+            jet["u"].shape))
+        src = _sliced(whole_src)
+    w_ref, G_ref = _taylor_sums_of_whole_outputs(jet, model, 0.01, whole_src)
     with monkeypatch.context() as mp:
         _blocking(mp, mode, jet)
         w, G = taylor_state(jet, model, 0.01, src)
@@ -407,7 +434,7 @@ def test_time_jet_without_mttt(monkeypatch, dim, forced, kappa):
     model = NLDModel(kappa=kappa)
     monkeypatch.setattr(cascade, "_BLOCK_POINTS", 40)
     for depth, kept in ((3, {"t", "tt", "ttt"}), (1, {"t"})):
-        for jet, src in _point_sets(dim, depth, forced):
+        for jet, _, src in _point_sets(dim, depth, forced):
             full = time_jet(jet, model, depth=depth, source=src)
             short = time_jet(jet, model, depth=depth, source=src, m_jet=False)
             assert sorted(short) == sorted(set(full) - {"M", "Mt", "Mtt", "Mttt"})
@@ -432,7 +459,7 @@ class _ArrayZeroModel(NLDModel):
 def test_scalar_zero_skip_equals_general_formula(dim, forced, kappa):
     skip, general = NLDModel(kappa=kappa), _ArrayZeroModel(kappa=kappa)
     assert skip.g_jet(np.ones(3), 3)[3] == 0.0  # g''' comes back a scalar zero
-    for jet, src in _point_sets(dim, 3, forced):
+    for jet, _, src in _point_sets(dim, 3, forced):
         _assert_jets_equal(
             time_jet(jet, skip, depth=3, source=src),
             time_jet(jet, general, depth=3, source=src),

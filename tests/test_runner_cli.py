@@ -679,6 +679,7 @@ _FAST_MMS = RunConfig(
         (replace(_FAST_MMS, wave_N=17), "ic.wave_N = 17"),
         (replace(_FAST_MMS, ic="waves", source="none", waves=(WaveSpec(omega=0.8),),
                  kappa=1.5), "needs an integer kappa, got kappa = 1.5"),
+        (replace(FAST_1D, kappa=1.5), "model.kappa): the projected wave has rho < 0"),
         (replace(FAST_1D, lam=-0.5), "needs lam > 0, got lam = -0.5"),
     ],
     ids=["x-reversed", "x-empty", "2d-no-ny", "y-reversed", "history-every-0",
@@ -686,7 +687,8 @@ _FAST_MMS = RunConfig(
          "negative-radius", "negative-spin", "mms-fractional-kappa",
          "mms-source-fractional-kappa", "mms-negative-kappa", "mms-unforced",
          "waves-forced", "1d-ny", "1d-y-range", "1d-wave-y0", "mms-wave-radius",
-         "mms-wave-nodes", "2d-wave-fractional-kappa", "1d-wave-negative-lam"],
+         "mms-wave-nodes", "2d-wave-fractional-kappa", "1d-wave-fractional-kappa",
+         "1d-wave-negative-lam"],
 )
 def test_cli_rejects_degenerate_config(capsys, tmp_path, cfg, words):
     cfgfile = tmp_path / "bad.cfg"

@@ -7,13 +7,14 @@ fixed fourth-order weights and expose its order without any spatial error
 in the way.
 """
 
+import threading
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from diracdg import pool, tsdg
+from diracdg import cascade, pool, tsdg, waves
 
 from diracdg.diagnostics import total_charge
 from diracdg.integrators import cfl_dt, evolve, rk4_step
@@ -111,16 +112,17 @@ def test_x_traces_are_freed_before_y_traces_are_built(monkeypatch, scheme, force
 @pytest.mark.parametrize("scheme, per_step", [("rkdg", 4), ("lwdg", 3), ("tsdg", 6)])
 def test_forced_2d_step_calls_the_source_jet_once_per_point_set(
         monkeypatch, scheme, per_step):
-    """One `MMSSource.jet` call per RK stage (rkdg), on the volume and the
-    two edge point sets (lwdg), and on those three per sweep (tsdg): a call
-    site that evaluates the source twice fails here.  perfbench's traced
-    `mms-2d` run reports the same counts as `waves.mms_jet.calls_per_step`."""
+    """One `MMSSource.jet` evaluation per RK stage (rkdg), on the volume and
+    the two edge point sets (lwdg), and on those three per sweep (tsdg), on a
+    mesh whose cascade calls go through whole: a call site that evaluates
+    the source twice fails here.  An edge set is evaluated as its two sides,
+    the low and the high edge of every cell, in one call each."""
     calls = []
     jet = MMSSource.jet
 
-    def counted(self, *args, **kw):
-        calls.append(None)
-        return jet(self, *args, **kw)
+    def counted(self, x, y, t, depth=3, cells=()):
+        calls.append((x, cells))
+        return jet(self, x, y, t, depth, cells)
 
     monkeypatch.setattr(MMSSource, "jet", counted)
     sp = DGSpace2D(Grid2D(-2.0, 2.0, 8, -2.0, 2.0, 8), 2)
@@ -128,28 +130,64 @@ def test_forced_2d_step_calls_the_source_jet_once_per_point_set(
     c, t, tau = sp.project(lambda x, y: mms_state(x, y, 0.1)), 0.1, 0.01
     for _ in range(4):
         c, t = step(c, t, tau), t + tau
-    assert len(calls) == 4 * per_step
+    sides = [(x, cells) for x, cells in calls if x is not sp.points[0]]
+    for (x_lo, lo), (x_hi, hi) in zip(sides[::2], sides[1::2]):
+        assert x_lo is x_hi and lo != hi
+    assert len(calls) - len(sides) // 2 == 4 * per_step
 
 
 def test_lwdg_step_peak_memory_in_volume_arrays(monkeypatch):
-    """One unforced 120^2 P2 lwdg step, blocked on the calling thread,
-    holds at its tracemalloc peak at most 20 arrays the size of its volume
-    point values.  The Taylor sums formed per cascade block keep the seven
-    full-size time derivatives from ever existing: 15.3 such arrays, where
-    summing over full-size cascade outputs peaked at 20.9."""
+    """One 120^2 P2 lwdg step, blocked on the calling thread, holds at its
+    tracemalloc peak at most 20 arrays the size of its volume point values.
+    The Taylor sums formed per cascade block keep the seven full-size time
+    derivatives from ever existing: 15.3 such arrays unforced, where summing
+    over full-size cascade outputs peaked at 20.9.  Forced, the source keys
+    evaluated per block keep the nine full-size ones from existing too:
+    16.4 arrays, where evaluating them whole before the cascade peaked at
+    25.1.  The source's cached factor blocks are made by the first step."""
     monkeypatch.setattr(pool, "MIN_ELEMENTS", np.iinfo(np.int64).max)  # no pool
     n, q = 120, 2
     sp = DGSpace2D(Grid2D(-2.0, 2.0, n, -2.0, 2.0, n), q)
     c = 0.3 * np.random.default_rng(5).standard_normal(sp.zeros().shape)
-    lwdg_step(sp, MODEL, c, 0.0, 1e-3)  # the space's tables, made on first use
-    tracemalloc.start()
-    try:
-        lwdg_step(sp, MODEL, c, 0.0, 1e-3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     volume_array = 4 * n * n * (q + 1) ** 2 * 8
-    assert peak <= 20 * volume_array, f"{peak / volume_array:.1f} volume arrays"
+    for src in (None, MMSSource(MODEL)):
+        lwdg_step(sp, MODEL, c, 0.5, 1e-3, src)  # tables and factors, made on first use
+        tracemalloc.start()
+        try:
+            lwdg_step(sp, MODEL, c, 0.5, 1e-3, src)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * volume_array, (
+            f"forced={src is not None}: {peak / volume_array:.1f} volume arrays")
+
+
+@pytest.mark.parametrize("scheme", ["lwdg", "tsdg"])
+def test_pooled_forced_step_from_a_cold_source(monkeypatch, scheme):
+    """A forced step whose cascade blocks run on the pool, from a source
+    that has built no factor block yet, has the bits of the serial step;
+    each point set's factor blocks are built once, on the calling thread,
+    before any block reaches the pool."""
+    sp = DGSpace2D(Grid2D(-2.0, 2.0, 9, -2.0, 2.0, 7), 2)
+    c = sp.project(lambda x, y: mms_state(x, y, 0.4))
+    step = STEPS[scheme]
+    serial = step(sp, c, MMSSource(MODEL))
+    built = []
+    factor_block = waves._factor_block
+
+    def counted(x, y, p, group, base=None):
+        built.append((id(x), id(y), group, threading.current_thread()))
+        return factor_block(x, y, p, group, base)
+
+    monkeypatch.setattr(waves, "_factor_block", counted)
+    monkeypatch.setattr(pool, "MIN_ELEMENTS", 0)
+    monkeypatch.setattr(cascade, "_BLOCK_POINTS", 2 * 7 * 9)  # 2 cells a block
+    pooled = step(sp, c, MMSSource(MODEL))
+    assert pooled.tobytes() == serial.tobytes()
+    groups = 4 if scheme == "lwdg" else 1  # lwdg reads depth 3, tsdg depth 1
+    assert len(built) == 3 * groups  # the volume and the two edge point sets
+    assert len({b[:3] for b in built}) == len(built)
+    assert {b[3] for b in built} == {threading.main_thread()}
 
 
 # --------------------------------------------------------------------------
